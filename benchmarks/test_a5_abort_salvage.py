@@ -14,10 +14,9 @@ import os
 
 import pytest
 
-from repro.mpe import read_clog2
-from repro.mpe.salvage import find_partials, merge_partials
+from repro.mpe.salvage import find_partials, merge_partial_logs
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import PI_Abort
 from repro.pilotlog import JumpshotOptions
 from repro.slog2 import convert
@@ -32,8 +31,7 @@ def run_thumbnail(tmp_path, name, *, salvage, interval=512):
     cfg = ThumbnailConfig(nfiles=NFILES)
     jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval)
     res = run_pilot(lambda argv: thumbnail_main(argv, cfg), RANKS,
-                    argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=base),
+                    config=PilotConfig(services="j", mpe_log_path=base),
                     mpe_options=jopts)
     return res, base
 
@@ -88,8 +86,8 @@ def run_aborting_pipeline(tmp_path, name, *, salvage, interval=128,
 
     jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval,
                             salvage_mode=mode)
-    res = run_pilot(main, 3, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=base),
+    res = run_pilot(main, 3,
+                    config=PilotConfig(services="j", mpe_log_path=base),
                     mpe_options=jopts)
     return res, base
 
@@ -115,7 +113,7 @@ def test_a5_salvage_recovery(benchmark, comparison, tmp_path):
     assert find_partials(base_lost) == []
 
     # With salvage: merge the partials post mortem and convert.
-    merged = merge_partials(base_saved)
+    merged = merge_partial_logs(base_saved).log
     doc, report = convert(merged)
     writes_recovered = len(doc.states_of("PI_Write"))
     assert writes_recovered > 100

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import median_and_variance
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.vmpi.comm import NetworkModel
 
 NFILES = 300  # enough pipeline depth; keeps the sweep fast
@@ -24,17 +24,14 @@ NETWORKS = {
 
 
 def run_case(mode, network, tmp_path, tag):
-    argv = ["-picheck=3"]
-    if mode == "mpe":
-        argv.append("-pisvc=j")
-    elif mode == "native":
-        argv.append("-pisvc=c")
-    options = PilotOptions(
+    config = PilotConfig(
+        services={"none": "", "mpe": "j", "native": "c"}[mode],
+        check_level=3,
         native_log_path=str(tmp_path / f"{tag}.log"),
-        mpe_log_path=str(tmp_path / f"{tag}.clog2"))
+        mpe_log_path=str(tmp_path / f"{tag}.clog2"), network=network)
     cfg = ThumbnailConfig(nfiles=NFILES)
-    res = run_pilot(lambda a: thumbnail_main(a, cfg), nprocs=6, argv=argv,
-                    options=options, network=network)
+    res = run_pilot(lambda a: thumbnail_main(a, cfg), nprocs=6,
+                    config=config)
     assert res.ok
     return res.exec_end_time
 

@@ -10,8 +10,8 @@ real (multiple rounds).
 import pytest
 
 from repro import jumpshot, slog2, vmpi
-from repro.mpe import MpeLogger, MpeOptions, read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import MpeLogger, MpeOptions, read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.apps import Lab2Config, lab2_main
 
 pytestmark = pytest.mark.benchmark(group="micro")
@@ -72,16 +72,16 @@ def test_mpe_record_rate(benchmark):
 @pytest.fixture(scope="module")
 def lab2_artifacts(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("micro") / "lab2.clog2")
-    run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-              options=PilotOptions(mpe_log_path=path))
-    clog = read_clog2(path)
+    run_pilot(lab2_main, 6,
+              config=PilotConfig(services="j", mpe_log_path=path))
+    clog = read_log(path).log
     doc, _ = slog2.convert(clog)
     return path, clog, doc
 
 
 def test_clog2_read_throughput(benchmark, lab2_artifacts):
     path, clog, _ = lab2_artifacts
-    out = benchmark(read_clog2, path)
+    out = benchmark(lambda: read_log(path).log)
     assert len(out.records) == len(clog.records)
 
 
@@ -115,8 +115,9 @@ def test_full_logged_run_wall_time(benchmark, tmp_path):
     """End to end: lab2 with -pisvc=j, per wall second."""
 
     def run():
-        opts = PilotOptions(mpe_log_path=str(tmp_path / "w.clog2"))
-        res = run_pilot(lab2_main, 6, argv=("-pisvc=j",), options=opts)
+        config = PilotConfig(services="j",
+                             mpe_log_path=str(tmp_path / "w.clog2"))
+        res = run_pilot(lab2_main, 6, config=config)
         assert res.ok
 
     benchmark(run)

@@ -21,6 +21,7 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
+    PilotConfig,
     run_pilot,
 )
 
@@ -50,7 +51,7 @@ def buggy_main(argv):
 
 
 if __name__ == "__main__":
-    result = run_pilot(buggy_main, nprocs=3, argv=("-pisvc=d",))
+    result = run_pilot(buggy_main, nprocs=3, config=PilotConfig(services="d"))
     print(f"\nrun aborted: {result.aborted is not None}")
     for diag in result.diagnostics.entries:
         print(diag.render())

@@ -12,10 +12,10 @@ import os
 import tempfile
 
 from repro import jumpshot, slog2
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import (
     PI_MAIN,
-    PilotOptions,
+    PilotConfig,
     PI_Compute,
     PI_Configure,
     PI_CreateChannel,
@@ -61,14 +61,14 @@ def main(argv):
 if __name__ == "__main__":
     os.makedirs(OUT_DIR, exist_ok=True)
     clog_path = os.path.join(tempfile.gettempdir(), "quickstart.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
+    config = PilotConfig(services="j", mpe_log_path=clog_path)
 
-    result = run_pilot(main, nprocs=5, argv=("-pisvc=j",), options=options)
+    result = run_pilot(main, nprocs=5, config=config)
     print(f"\nvirtual run time: {result.total_time * 1e3:.3f} ms "
           f"(wrap-up {result.wrapup_time * 1e3:.3f} ms)")
 
     # The paper's workflow: CLOG2 -> (convert) -> SLOG2 -> Jumpshot.
-    clog = read_clog2(clog_path)
+    clog = read_log(clog_path).log
     rank_names = {p.rank: p.name for p in result.run.processes}
     doc, report = slog2.convert(clog, rank_names)
     print(report.summary())

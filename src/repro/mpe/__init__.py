@@ -17,8 +17,6 @@ from repro.mpe.clog2 import (
     Clog2FormatError,
     Clog2Writer,
     iter_clog2,
-    read_clog2,
-    read_clog2_tolerant,
     read_log,
     read_one_item,
     write_clog2,
@@ -29,11 +27,7 @@ from repro.mpe.salvage import (
     MergeResult,
     PartialReadResult,
     merge_partial_logs,
-    merge_partials,
-    merge_partials_tolerant,
-    read_partial,
     read_partial_log,
-    read_partial_tolerant,
 )
 from repro.mpe.records import (
     RECV,
@@ -77,15 +71,9 @@ __all__ = [
     "fsck_path",
     "iter_clog2",
     "merge_partial_logs",
-    "merge_partials",
-    "merge_partials_tolerant",
-    "read_clog2",
-    "read_clog2_tolerant",
     "read_log",
     "read_one_item",
-    "read_partial",
     "read_partial_log",
-    "read_partial_tolerant",
     "sync_clocks",
     "write_clog2",
 ]

@@ -53,16 +53,13 @@ contract (see ``benchmarks/_legacy.py`` and the equivalence tests).
 The one reader entry point is :func:`read_log` with
 ``errors="strict"`` (raise on damage) or ``errors="salvage"``
 (skip torn spans, account them in a RecoveryReport); it always returns
-a :class:`Clog2ReadResult` ``(log, recovery)`` pair.  The historical
-names :func:`read_clog2` / :func:`read_clog2_tolerant` survive as thin
-deprecated aliases.
+a :class:`Clog2ReadResult` ``(log, recovery)`` pair.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -776,26 +773,6 @@ def _read_log_salvage(path: str) -> Clog2ReadResult:
         data = fh.read()
     log = parse_clog2_bytes_tolerant(data, report, report.source)
     return Clog2ReadResult(log, report)
-
-
-# -- deprecated aliases ------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def read_clog2(path: str) -> Clog2File:
-    """Deprecated alias for ``read_log(path).log``."""
-    _deprecated("read_clog2", "read_log(path)")
-    return read_log(path).log
-
-
-def read_clog2_tolerant(path: str):
-    """Deprecated alias for ``read_log(path, errors='salvage')``."""
-    _deprecated("read_clog2_tolerant", "read_log(path, errors='salvage')")
-    return tuple(read_log(path, errors="salvage"))
 
 
 def read_one_item(fh) -> Definition | LogRecord | None:

@@ -42,10 +42,6 @@ skipped and accounted):
   CLOG2 via a heap-based k-way merge (see :mod:`repro.mpe.merge`) and
   returns ``(Clog2File, RecoveryReport | None)``.
 
-The historical names (:func:`read_partial`,
-:func:`read_partial_tolerant`, :func:`merge_partials`,
-:func:`merge_partials_tolerant`) survive as thin deprecated aliases.
-
 Rewrite layout: magic ``CLOGPART``, sync section, one CLOG2 body.
 Append layout: magic ``CLOGPARA``, then framed chunks — each chunk is
 ``u8 kind ('S' sync point | 'R' record block)``, ``u32 length``,
@@ -58,7 +54,6 @@ from __future__ import annotations
 import glob
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -534,46 +529,6 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
         report.mark_crashed(rank, at)
     write_clog2(out_path or base_path, log, perf=perf)
     return log, report
-
-
-# -- deprecated aliases ------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def read_partial(path: str) -> Partial:
-    """Deprecated alias for ``read_partial_log(path).partial``."""
-    _deprecated("read_partial", "read_partial_log(path)")
-    return read_partial_log(path).partial
-
-
-def read_partial_tolerant(path: str) -> "tuple[Partial, RecoveryReport]":
-    """Deprecated alias for ``read_partial_log(path, errors='salvage')``."""
-    _deprecated("read_partial_tolerant",
-                "read_partial_log(path, errors='salvage')")
-    return tuple(read_partial_log(path, errors="salvage"))
-
-
-def merge_partials(base_path: str, out_path: str | None = None) -> Clog2File:
-    """Deprecated alias for ``merge_partial_logs(...).log``."""
-    _deprecated("merge_partials", "merge_partial_logs(base_path)")
-    return merge_partial_logs(base_path, out_path).log
-
-
-def merge_partials_tolerant(base_path: str, out_path: str | None = None, *,
-                            expected_ranks: int | None = None,
-                            crashed_ranks: "dict[int, float | None] | None" = None
-                            ) -> "tuple[Clog2File, RecoveryReport]":
-    """Deprecated alias for
-    ``merge_partial_logs(..., errors='salvage')``."""
-    _deprecated("merge_partials_tolerant",
-                "merge_partial_logs(base_path, errors='salvage')")
-    return tuple(merge_partial_logs(
-        base_path, out_path, errors="salvage",
-        expected_ranks=expected_ranks, crashed_ranks=crashed_ranks))
 
 
 def cleanup_partials(base_path: str) -> int:

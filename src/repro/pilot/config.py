@@ -1,12 +1,8 @@
 """Typed, unified run configuration: :class:`PilotConfig`.
 
-Historically a Pilot launch was configured three different ways at
-once: ``-pi*`` command-line flags mixed into ``argv`` (the C library's
-interface, stripped by PI_Configure), a loose ``options=PilotOptions``
-kwarg, and assorted extra keywords on :func:`repro.pilot.run_pilot`
-(``costs=``, ``seed=``, ``faults=``...).  ``PilotConfig`` replaces all
-three with one frozen dataclass that is the single public way to
-describe a run::
+``PilotConfig`` is the one description of a Pilot run: services, check
+level, log paths, robustness machinery, simulation parameters and the
+rank scheduler, in one frozen dataclass::
 
     from repro.pilot import PilotConfig, run_pilot
 
@@ -16,10 +12,11 @@ describe a run::
 
 Every field defaults to ``None`` meaning "not chosen here", so layered
 sources (defaults < environment < flags < code) can be merged without
-ambiguity; :meth:`from_argv`, :meth:`from_env` and :meth:`to_argv`
-round-trip the flag-expressible subset.  The legacy spellings still
-work but raise :class:`DeprecationWarning` (see docs/API.md for the
-migration table).
+ambiguity.  :meth:`from_argv` owns Pilot's ``-pi*`` command-line
+grammar (paper Section III.C), :meth:`from_env` reads the same grammar
+from ``REPRO_PI_*`` variables and :meth:`to_argv` writes it back.
+:meth:`resolved` fills in the runtime defaults once, at launch; a
+running program reads that resolved config as ``PilotRun.options``.
 """
 
 from __future__ import annotations
@@ -30,13 +27,48 @@ from typing import Any, Mapping
 
 from repro.pilot import errors as perr
 from repro.pilot.errors import Diagnostic, PilotError
-from repro.pilot.program import PilotCosts, PilotOptions, parse_argv
-from repro.pilot.services import ServiceOptions, parse_service_letters
+from repro.pilot.program import PilotCosts
+from repro.pilot.services import parse_service_letters
 from repro.vmpi.engine import SCHEDULERS
 
 # Manifest-recorded fields that resume_pilot refuses to silently
 # replace; list them in ``allow_overrides`` to replace deliberately.
 RESUME_GUARDED_FIELDS = ("watchdog_timeout", "watchdog_action", "recover")
+
+# What an unset field means at run time (see PilotConfig.resolved).
+# costs/network/skews/faults stay None: "no model given", which the
+# journal manifest records by leaving the key out.
+RUNTIME_DEFAULTS: dict[str, Any] = {
+    "scheduler": "threads",
+    "check_level": perr.CHECK_API,
+    "native_log_path": "pilot_native.log",
+    "mpe_log_path": "pilot_mpe.clog2",
+    "mpe_available": True,  # "built with MPE" (conditional compilation)
+    "journal_checkpoint_interval": 1e-3,  # virtual seconds
+    "watchdog_action": "abort",
+    "seed": 0,
+    "clock_resolution": 1e-8,
+}
+
+
+def _bad_option(message: str) -> PilotError:
+    return PilotError(Diagnostic("BAD_OPTION", message, None, -1))
+
+
+def reject_pi_flags(argv: list[str] | tuple[str, ...], caller: str) -> None:
+    """Refuse ``-pi*`` flags in a program's argv.
+
+    Flags configure the run, not the program: they belong in a
+    :class:`PilotConfig` (via :meth:`PilotConfig.from_argv`), never in
+    what ``main`` receives.
+    """
+    flags = [arg for arg in argv if arg.startswith("-pi")]
+    if flags:
+        raise PilotError(Diagnostic(
+            "BAD_CONFIG",
+            f"{caller}: {flags[0]!r} in argv; parse -pi* flags with "
+            "PilotConfig.from_argv(argv) and pass the resulting config=",
+            None, -1))
 
 
 @dataclass(frozen=True)
@@ -52,7 +84,7 @@ class PilotConfig:
 
     # -- rank scheduling ------------------------------------------------
     scheduler: str | None = None  # "threads" | "coroutine"
-    # -- services and checking (the old -pisvc= / -picheck=) ------------
+    # -- services and checking (-pisvc= / -picheck=) ---------------------
     services: str | None = None  # service letters, e.g. "cdj"
     check_level: int | None = None
     # -- log destinations ----------------------------------------------
@@ -61,6 +93,7 @@ class PilotConfig:
     mpe_available: bool | None = None
     # -- robustness machinery ------------------------------------------
     fault_plan_path: str | None = None
+    # With services "r" the journal directory drives a verified replay.
     journal_dir: str | None = None
     journal_checkpoint_interval: float | None = None
     watchdog_timeout: float | None = None
@@ -69,14 +102,13 @@ class PilotConfig:
     # Live trace streaming (repro.stream): ``True`` arms the ``v``
     # service on any free port, an ``int`` arms it on that port.
     stream: bool | int | None = None
-    # -- simulation parameters (former run_pilot kwargs) ----------------
+    # -- simulation parameters -----------------------------------------
     costs: PilotCosts | None = None
     network: Any | None = None  # NetworkModel
     seed: int | None = None
     clock_resolution: float | None = None
     skews: Mapping[int, Any] | None = None  # rank -> ClockSkew
     faults: Any | None = None  # FaultPlan
-    mpe: Any | None = None  # JumpshotOptions
     # -- resume escape hatch -------------------------------------------
     # Guarded manifest fields this config may deliberately replace on
     # resume (e.g. resuming past a checkpoint-and-stop needs
@@ -89,38 +121,91 @@ class PilotConfig:
     def from_argv(cls, argv: list[str] | tuple[str, ...],
                   base: "PilotConfig | None" = None,
                   ) -> tuple["PilotConfig", list[str]]:
-        """Strip ``-pi*`` flags from ``argv`` into a config.
+        """Strip Pilot's ``-pi*`` flags from ``argv`` into a config.
 
-        Returns ``(config, leftover_argv)`` like PI_Configure rewriting
-        ``argc/argv`` in C.  Flags layer on top of ``base`` (flags
-        win); fields no flag exists for are carried over unchanged.
+        Returns ``(config, leftover_argv)`` like PI_Configure(&argc,
+        &argv) rewriting argv in C.  Flags layer on top of ``base``:
+        every flag present wins, whatever its value; fields no flag
+        sets are carried over unchanged.
+
+        ``-pisvc=<letters>`` selects services (repeatable, letters
+        accumulate), ``-picheck=<0..3>`` the error-check level,
+        ``-pifault-plan=PATH`` a JSON fault plan, ``-pijournal=DIR``
+        the journal, ``-piwatchdog=T[:abort|checkpoint]`` the progress
+        watchdog, ``-pirecover=msglog|off`` in-run recovery,
+        ``-pischeduler=threads|coroutine`` the rank backend and
+        ``-pistream-port=N`` (with ``-pisvc=v``) the streaming port.
         """
-        opts, leftover = parse_argv(argv, None)
-        default = PilotOptions()
         updates: dict[str, Any] = {}
-        if opts.services != default.services:
-            updates["services"] = "".join(sorted(opts.services))
-        if opts.check_level != default.check_level:
-            updates["check_level"] = opts.check_level
-        if opts.fault_plan_path != default.fault_plan_path:
-            updates["fault_plan_path"] = opts.fault_plan_path
-        if opts.journal_dir != default.journal_dir:
-            updates["journal_dir"] = opts.journal_dir
-        if opts.watchdog_timeout != default.watchdog_timeout:
-            updates["watchdog_timeout"] = opts.watchdog_timeout
-            # The action is explicit only when some flag spelled it
-            # out (``-piwatchdog=T:action``); a bare timeout must not
-            # pin the action, or a resume would see a phantom
-            # "abort"-vs-recorded conflict.
-            if any(a.startswith("-piwatchdog=") and ":" in a for a in argv):
-                updates["watchdog_action"] = opts.watchdog_action
-        if opts.recover != default.recover:
-            updates["recover"] = opts.recover
-        if opts.scheduler is not None:
-            updates["scheduler"] = opts.scheduler
-        if "v" in opts.services:
-            updates["stream"] = (opts.stream_port
-                                 if opts.stream_port else True)
+        letters: set[str] | None = None
+        stream_port = 0
+        leftover: list[str] = []
+        for arg in argv:
+            flag, eq, value = arg.partition("=")
+            if not eq:
+                leftover.append(arg)
+            elif flag == "-pisvc":
+                letters = (letters or set()) | parse_service_letters(value)
+            elif flag == "-pifault-plan":
+                updates["fault_plan_path"] = value
+            elif flag == "-pijournal":
+                if not value:
+                    raise _bad_option("-pijournal needs a directory")
+                updates["journal_dir"] = value
+            elif flag == "-piwatchdog":
+                timeout_text, _, action = value.partition(":")
+                try:
+                    timeout = float(timeout_text)
+                except ValueError:
+                    raise _bad_option(
+                        f"bad -piwatchdog timeout in {arg!r}") from None
+                if timeout <= 0:
+                    raise _bad_option(
+                        f"-piwatchdog timeout must be > 0, got {timeout}")
+                updates["watchdog_timeout"] = timeout
+                # A bare timeout must not pin the action, or a resume
+                # would see a phantom "abort"-vs-recorded conflict.
+                if action:
+                    if action not in ("abort", "checkpoint"):
+                        raise _bad_option(
+                            f"-piwatchdog action must be 'abort' or "
+                            f"'checkpoint', got {action!r}")
+                    updates["watchdog_action"] = action
+            elif flag == "-pirecover":
+                if value not in ("msglog", "off"):
+                    raise _bad_option(
+                        f"-pirecover must be 'msglog' or 'off', got {value!r}")
+                updates["recover"] = None if value == "off" else value
+            elif flag == "-pischeduler":
+                if value not in SCHEDULERS:
+                    raise _bad_option(
+                        f"-pischeduler must be one of {'/'.join(SCHEDULERS)}, "
+                        f"got {value!r}")
+                updates["scheduler"] = value
+            elif flag == "-pistream-port":
+                try:
+                    stream_port = int(value)
+                except ValueError:
+                    raise _bad_option(
+                        f"bad -pistream-port value in {arg!r}") from None
+                if not 0 <= stream_port <= 65535:
+                    raise _bad_option(
+                        f"-pistream-port must be 0..65535, got {stream_port}")
+            elif flag == "-picheck":
+                try:
+                    check = int(value)
+                except ValueError:
+                    raise _bad_option(
+                        f"bad -picheck value in {arg!r}") from None
+                if not perr.CHECK_NONE <= check <= perr.CHECK_POINTERS:
+                    raise _bad_option(f"-picheck must be 0..3, got {check}")
+                updates["check_level"] = check
+            else:
+                leftover.append(arg)
+        if letters is not None:
+            updates["services"] = "".join(sorted(letters))
+            if "v" in letters:
+                updates["stream"] = stream_port or True
         cfg = dataclasses.replace(base or cls(), **updates)
         return cfg.validate(), leftover
 
@@ -131,9 +216,10 @@ class PilotConfig:
 
         Recognised: ``REPRO_PI_SCHEDULER``, ``REPRO_PI_SVC``,
         ``REPRO_PI_CHECK``, ``REPRO_PI_FAULT_PLAN``,
-        ``REPRO_PI_JOURNAL``, ``REPRO_PI_WATCHDOG`` (``T[:action]``)
-        and ``REPRO_PI_RECOVER`` — the same grammar as the flags, so
-        values are validated identically.
+        ``REPRO_PI_JOURNAL``, ``REPRO_PI_WATCHDOG`` (``T[:action]``),
+        ``REPRO_PI_RECOVER`` and ``REPRO_PI_STREAM_PORT`` (used when
+        ``REPRO_PI_SVC`` includes ``v``) — the same grammar as the
+        flags, so values are validated identically.
         """
         if environ is None:
             import os
@@ -154,6 +240,50 @@ class PilotConfig:
         cfg, _ = cls.from_argv(argv, base)
         return cfg
 
+    def resolved(self) -> "PilotConfig":
+        """This config with every unset runtime default filled in.
+
+        The launcher resolves once; what a run reads afterwards
+        (``PilotRun.options``) is always resolved.  ``services``
+        becomes a sorted letter string that includes ``v`` whenever
+        :attr:`stream` is on.  Resolving twice changes nothing.
+        """
+        letters = set(self.services or "")
+        if self.stream:
+            letters.add("v")
+        filled = {name: value for name, value in RUNTIME_DEFAULTS.items()
+                  if getattr(self, name) is None}
+        return dataclasses.replace(self, services="".join(sorted(letters)),
+                                   **filled)
+
+    # -- derived facts --------------------------------------------------
+
+    @property
+    def needs_service_rank(self) -> bool:
+        """The native log and deadlock detector share one dedicated rank
+        (paper Section I: the central logging process is "the same one
+        running the deadlock detector")."""
+        services = self.services or ""
+        return "c" in services or "d" in services
+
+    @property
+    def mpe_enabled(self) -> bool:
+        """Jumpshot logging requested (``j``) and MPE built in."""
+        return "j" in (self.services or "") and self.mpe_available is not False
+
+    @property
+    def stream_port(self) -> int:
+        """Where the ``v`` service listens (0 = any free port)."""
+        if self.stream is True or not self.stream:
+            return 0
+        return int(self.stream)
+
+    @property
+    def perf_snapshot_path(self) -> str:
+        """Where the ``p`` service dumps its counters (next to the MPE log)."""
+        base = self.mpe_log_path or RUNTIME_DEFAULTS["mpe_log_path"]
+        return base + ".perf.json"
+
     # -- projection -----------------------------------------------------
 
     def to_argv(self) -> list[str]:
@@ -161,8 +291,8 @@ class PilotConfig:
 
         ``PilotConfig.from_argv(cfg.to_argv())`` reproduces every field
         a flag exists for; purely programmatic fields (``costs``,
-        ``network``, ``seed``, ``skews``, ``faults``, ``mpe``, the log
-        paths) have no flag form and are omitted.
+        ``network``, ``seed``, ``skews``, ``faults``, the log paths)
+        have no flag form and are omitted.
         """
         argv: list[str] = []
         if self.services:
@@ -188,35 +318,6 @@ class PilotConfig:
             if self.stream is not True:
                 argv.append(f"-pistream-port={int(self.stream)}")
         return argv
-
-    def to_service_options(self) -> ServiceOptions:
-        """The per-service flag view of :attr:`services`.
-
-        Equivalent to ``cfg.to_options().service_options`` — the same
-        projection the launcher applies internally — exposed so tools
-        can ask "is jumpshot on?" without building a full options set.
-        """
-        return self.to_options().service_options
-
-    def to_options(self, base: PilotOptions | None = None) -> PilotOptions:
-        """Project the option-shaped fields onto a :class:`PilotOptions`."""
-        opts = base or PilotOptions()
-        updates: dict[str, Any] = {}
-        if self.services is not None:
-            updates["services"] = frozenset(self.services)
-        for name in ("check_level", "native_log_path", "mpe_log_path",
-                     "mpe_available", "fault_plan_path", "journal_dir",
-                     "journal_checkpoint_interval", "watchdog_timeout",
-                     "watchdog_action", "recover", "scheduler"):
-            value = getattr(self, name)
-            if value is not None:
-                updates[name] = value
-        if self.stream:
-            updates["services"] = (updates.get("services", opts.services)
-                                   | frozenset("v"))
-            if self.stream is not True:
-                updates["stream_port"] = int(self.stream)
-        return dataclasses.replace(opts, **updates)
 
     # -- validation -----------------------------------------------------
 

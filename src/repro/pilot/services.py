@@ -1,16 +1,13 @@
-"""Structured service selection: the one ``-pisvc`` parser.
+"""Service selection: the one ``-pisvc`` letter validator.
 
 Pilot selects optional services with ``-pisvc=<letters>`` (paper
-Section III.C).  Historically each consumer re-derived meaning from the
-raw letter set; this module is now the single place where letters are
-validated and given names.  Everything that needs to know *which*
-services are on — the runner, the Jumpshot logging hook, the
-pilotcheck integration — works from a :class:`ServiceOptions` value,
-and every unknown letter produces the same one error message, raised
-here and nowhere else.
+Section III.C).  This module is the single place where letters are
+validated and named; a :class:`~repro.pilot.PilotConfig` keeps them as
+its ``services`` string, and every unknown letter produces the same
+one error message, raised here and nowhere else.
 
 =======  ==================  ============================================
-letter   flag                service
+letter   name                service
 =======  ==================  ============================================
 ``c``    ``native_log``      native call log on a dedicated service rank
 ``d``    ``deadlock``        deadlock detection on the same rank
@@ -34,12 +31,11 @@ command line without code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.pilot.errors import Diagnostic, PilotError
 
-#: letter -> ServiceOptions flag name, in canonical display order.
+#: letter -> service name, in canonical display order.
 SERVICE_LETTERS: dict[str, str] = {
     "c": "native_log",
     "d": "deadlock",
@@ -59,55 +55,6 @@ def parse_service_letters(letters: Iterable[str]) -> frozenset[str]:
         raise PilotError(Diagnostic(
             "BAD_OPTION", f"unknown -pisvc letters {sorted(bad)}", None, -1))
     return frozenset(letter_set)
-
-
-@dataclass(frozen=True)
-class ServiceOptions:
-    """Which Pilot services a run has switched on, by name.
-
-    Built from letters with :meth:`from_letters`; converted back with
-    :attr:`letters` (which is how the compatibility
-    ``PilotOptions.services`` frozenset is fed).
-    """
-
-    native_log: bool = False
-    deadlock: bool = False
-    jumpshot: bool = False
-    static_check: bool = False
-    perf: bool = False
-    resume: bool = False
-    stream: bool = False
-    fault_plan_path: str | None = None
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[str], *,
-                     fault_plan_path: str | None = None) -> "ServiceOptions":
-        valid = parse_service_letters(letters)
-        flags = {flag: (letter in valid)
-                 for letter, flag in SERVICE_LETTERS.items()}
-        return cls(fault_plan_path=fault_plan_path, **flags)
-
-    def with_letters(self, letters: Iterable[str]) -> "ServiceOptions":
-        """A copy with the given letters additionally switched on."""
-        valid = parse_service_letters(letters)
-        on = {SERVICE_LETTERS[letter]: True for letter in valid}
-        return replace(self, **on)
-
-    @property
-    def letters(self) -> frozenset[str]:
-        return frozenset(letter for letter, flag in SERVICE_LETTERS.items()
-                         if getattr(self, flag))
-
-    @property
-    def needs_service_rank(self) -> bool:
-        """The native log and deadlock detector share one dedicated rank
-        (paper Section I: the central logging process is "the same one
-        running the deadlock detector")."""
-        return self.native_log or self.deadlock
-
-    def __str__(self) -> str:
-        on = "".join(sorted(self.letters))
-        return f"-pisvc={on}" if on else "(no services)"
 
 
 def load_fault_plan(path: str):

@@ -14,8 +14,9 @@ and Jumpshot shows it *after*; this module adds *before*):
 
 CLI: ``python -m repro.pilotcheck analyze pkg.module:main`` and
 ``python -m repro.pilotcheck lint-trace file.clog2 ...``.  Runtime
-wiring: ``run_pilot(..., argv=("-pisvc=s",))`` runs the analyzer before
-launch and annotates any observed deadlock with matching predictions.
+wiring: ``run_pilot(..., config=PilotConfig(services="s"))`` runs the
+analyzer before launch and annotates any observed deadlock with matching
+predictions.
 """
 
 from repro.pilotcheck.analysis import ProgramAnalysis, analyze_program

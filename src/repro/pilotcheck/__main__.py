@@ -21,6 +21,7 @@ import importlib
 import importlib.util
 import sys
 
+from repro.pilot.config import PilotConfig
 from repro.pilotcheck.findings import (
     FAMILIES,
     Finding,
@@ -65,11 +66,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.pilotcheck.capture import CaptureError
 
     main = _load_target(args.target)
-    argv = tuple(args.pilot_arg or ())
+    config, argv = PilotConfig.from_argv(args.pilot_arg or ())
     try:
-        analysis = analyze_program(main, args.nprocs, argv)
+        analysis = analyze_program(main, args.nprocs, argv, config=config)
     except CaptureError as exc:
-        print(f"configuration phase failed: {exc.args[0].render()}",
+        print(f"configuration phase failed: {exc.diagnostic.render()}",
               file=sys.stderr)
         return 2
     if args.format == "sarif":
@@ -170,11 +171,11 @@ def _cmd_net(args: argparse.Namespace) -> int:
     from repro.pilotcheck.capture import CaptureError
 
     main = _load_target(args.target)
-    argv = tuple(args.pilot_arg or ())
+    config, argv = PilotConfig.from_argv(args.pilot_arg or ())
     try:
-        analysis = analyze_program(main, args.nprocs, argv)
+        analysis = analyze_program(main, args.nprocs, argv, config=config)
     except CaptureError as exc:
-        print(f"configuration phase failed: {exc.args[0].render()}",
+        print(f"configuration phase failed: {exc.diagnostic.render()}",
               file=sys.stderr)
         return 2
     static = extract_static_net(analysis)

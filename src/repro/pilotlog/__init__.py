@@ -1,9 +1,10 @@
 """``repro.pilotlog`` — the paper's contribution: Pilot's log
 visualization facility.
 
-Enable it per run with the same command-line option the paper added::
+Enable it per run with the service letter of the paper's ``-pisvc=j``
+option::
 
-    run_pilot(main, nprocs, argv=("-pisvc=j",))
+    run_pilot(main, nprocs, config=PilotConfig(services="j"))
 
 which produces a CLOG2 file; convert with :mod:`repro.slog2` and view
 with :mod:`repro.jumpshot`.  See :mod:`repro.pilotlog.integration` for

@@ -47,7 +47,8 @@ Typical use::
         MessageFault("delay", delay=2e-4, jitter=1e-4, probability=0.3),
         CrashFault(rank=2, at=0.05, reason="injected rank failure"),
     ])
-    result = run_pilot(main, 4, argv=("-pisvc=j",), faults=plan)
+    result = run_pilot(main, 4, config=PilotConfig(services="j",
+                                                   faults=plan))
     for inj in result.vmpi.engine.fault_injector.injections:
         print(inj)
 """

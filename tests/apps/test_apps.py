@@ -14,7 +14,7 @@ from repro.apps import (
     lab2_main,
     thumbnail_main,
 )
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 SMALL_COLLISIONS = CollisionConfig(nrecords=2000)
 
@@ -101,16 +101,15 @@ class TestThumbnail:
         assert r1.total_time == r2.total_time
 
     def test_stage_states_subdivide_decompressor_work(self, tmp_path):
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.slog2 import compute_stats, convert
 
         cfg = ThumbnailConfig(nfiles=20, stage_states=True)
         path = str(tmp_path / "st.clog2")
         res = run_pilot(lambda argv: thumbnail_main(argv, cfg), 5,
-                        argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=path))
+                        config=PilotConfig(services="j", mpe_log_path=path))
         assert res.ok
-        doc, report = convert(read_clog2(path))
+        doc, report = convert(read_log(path).log)
         assert report.clean, report.summary()
         stats = compute_stats(doc)
         assert stats["decode"].count == 20

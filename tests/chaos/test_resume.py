@@ -22,7 +22,7 @@ from repro.jumpshot.ascii import render_ascii
 from repro.jumpshot.svg import render_svg
 from repro.jumpshot.viewer import View
 from repro.mpe.clog2 import read_log
-from repro.pilot import PilotOptions, resume_pilot, run_pilot
+from repro.pilot import PilotConfig, resume_pilot, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -63,11 +63,10 @@ def record_crashed_run(tmp_path, seed, *, name="crashed"):
     """Run the pipeline app under a journal until the crash kills it."""
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir)
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(salvage=True),
-                    faults=crash_plan(seed), seed=RUN_SEED)
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       seed=RUN_SEED, faults=crash_plan(seed))
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts,
+                    mpe_options=JumpshotOptions(salvage=True))
     return log, jdir, res
 
 
@@ -80,11 +79,10 @@ def reference_run(tmp_path, seed, *, name="reference"):
     """
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir)
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       seed=RUN_SEED, faults=crash_plan(seed))
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts,
                     mpe_options=JumpshotOptions(salvage=True),
-                    faults=crash_plan(seed), seed=RUN_SEED,
                     suppress_crashes=True)
     return log, res
 
@@ -182,11 +180,10 @@ class TestCrashResumeRoundTrip:
     def test_perf_counters_cover_the_journal(self, tmp_path):
         log = str(tmp_path / "perf.clog2")
         jdir = str(tmp_path / "perf.journal")
-        opts = PilotOptions(services=frozenset("jp"), mpe_log_path=log,
-                            journal_dir=jdir)
-        res = run_pilot(pipeline_app(WORKERS, 8), NPROCS, options=opts,
-                        mpe_options=JumpshotOptions(salvage=True),
-                        faults=crash_plan(PLAN_SEEDS[0]), seed=RUN_SEED)
+        opts = PilotConfig(services="jp", mpe_log_path=log, journal_dir=jdir,
+                           seed=RUN_SEED, faults=crash_plan(PLAN_SEEDS[0]))
+        res = run_pilot(pipeline_app(WORKERS, 8), NPROCS, config=opts,
+                        mpe_options=JumpshotOptions(salvage=True))
         assert res.aborted is not None
         snap = res.perf.snapshot()
         assert "journal-append" in snap["stages"]

@@ -57,9 +57,10 @@ def launch_streamed(tmp_path, *, faults=None, rounds=12, workers=2,
                     name="stream"):
     base = str(tmp_path / f"{name}.clog2")
     cfg = PilotConfig(services="j", stream=True, mpe_log_path=base,
-                      mpe=JumpshotOptions(salvage=True, salvage_interval=8),
                       faults=faults)
-    res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg)
+    res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg,
+                    mpe_options=JumpshotOptions(salvage=True,
+                                                salvage_interval=8))
     return base, res
 
 
@@ -67,10 +68,10 @@ def launch_unstreamed(tmp_path, *, faults, rounds=20, workers=2,
                       name="dead"):
     """A run nobody was watching: partials on disk, no exit sidecar."""
     base = str(tmp_path / f"{name}.clog2")
-    cfg = PilotConfig(services="j", mpe_log_path=base,
-                      mpe=JumpshotOptions(salvage=True, salvage_interval=8),
-                      faults=faults)
-    res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg)
+    cfg = PilotConfig(services="j", mpe_log_path=base, faults=faults)
+    res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg,
+                    mpe_options=JumpshotOptions(salvage=True,
+                                                salvage_interval=8))
     return base, res
 
 

@@ -9,8 +9,8 @@ from repro.jumpshot.source_view import (
     render_source_ansi,
     render_source_html,
 )
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 from repro.slog2.model import Event, SlogCategory, Slog2Doc, State
 
@@ -88,10 +88,10 @@ class TestEndToEnd:
         import repro.apps.lab2 as lab2_module
 
         clog = str(tmp_path / "l.clog2")
-        res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=clog))
+        res = run_pilot(lab2_main, 6,
+                        config=PilotConfig(services="j", mpe_log_path=clog))
         assert res.ok
-        doc, _ = convert(read_clog2(clog))
+        doc, _ = convert(read_log(clog).log)
         source = inspect.getsource(lab2_module)
         ann = annotate_lines(doc)
         # The annotated line numbers correspond to PI_* calls in lab2.py.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpe.clog2 import Clog2File, Clog2FormatError, read_clog2, write_clog2
+from repro.mpe.clog2 import Clog2File, Clog2FormatError, read_log, write_clog2
 from repro.mpe.records import TEXT_LIMIT, BareEvent, EventDef, MsgEvent, StateDef
 
 
@@ -34,7 +34,7 @@ class TestRoundTrip:
         path = str(tmp_path / "x.clog2")
         log = sample_log()
         write_clog2(path, log)
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.definitions == log.definitions
         assert back.records == log.records
         assert back.num_ranks == 3
@@ -48,7 +48,7 @@ class TestRoundTrip:
     def test_empty_log(self, tmp_path):
         path = str(tmp_path / "empty.clog2")
         write_clog2(path, Clog2File(1e-6, 1, [], []))
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.records == [] and back.definitions == []
 
     def test_unicode_text(self, tmp_path):
@@ -56,7 +56,7 @@ class TestRoundTrip:
         log = Clog2File(1e-6, 1, [EventDef(1, "é vén t", "blue")],
                         [BareEvent(0.0, 0, 1, "héllo wörld")])
         write_clog2(path, log)
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.records[0].text == "héllo wörld"
 
     @settings(deadline=None, max_examples=30)
@@ -70,7 +70,7 @@ class TestRoundTrip:
         path = str(tmp_path_factory.mktemp("clog") / "p.clog2")
         records = [BareEvent(t, r, e, txt) for t, r, e, txt in rows]
         write_clog2(path, Clog2File(1e-6, 32, [], records))
-        assert read_clog2(path).records == records
+        assert read_log(path).log.records == records
 
 
 class TestLimits:
@@ -93,7 +93,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(b"NOTCLOG2" + b"\0" * 40)
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path).log
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "trunc.clog2")
@@ -102,7 +102,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(data[:len(data) - 5])
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path).log
 
     def test_record_count_mismatch(self, tmp_path):
         path = str(tmp_path / "count.clog2")
@@ -113,7 +113,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path).log
 
     def test_unknown_record_type_byte(self, tmp_path):
         path = str(tmp_path / "weird.clog2")
@@ -121,4 +121,4 @@ class TestCorruption:
         with open(path, "ab") as fh:
             fh.write(b"\x7f")
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path).log

@@ -10,9 +10,9 @@ from repro.mpe.clocksync import SyncPoint
 from repro.mpe.records import BareEvent, EventDef, StateDef
 from repro.mpe.salvage import (
     AppendPartialWriter,
-    merge_partials,
+    merge_partial_logs,
     partial_path,
-    read_partial,
+    read_partial_log,
     write_partial,
 )
 from repro.pilotlog import JumpshotOptions
@@ -37,7 +37,7 @@ class TestAppendWriter:
         log.records.extend(BareEvent(0.01 + 0.001 * i, 1, 3, f"s{i}")
                            for i in range(3))
         assert writer.checkpoint(log) == 3
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert part.rank == 1
         assert len(part.records) == 8
         assert part.records == log.records
@@ -82,7 +82,7 @@ class TestAppendWriter:
         # Simulate the abort landing mid-write of the second chunk.
         with open(path, "rb+") as fh:
             fh.truncate(whole + 3)
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert len(part.records) == 4
         assert all(r.text == "keep" for r in part.records)
 
@@ -95,7 +95,7 @@ class TestAppendWriter:
         log.sync_points.append(SyncPoint(10.0, 0.5))  # end-of-run sync
         log.records.append(BareEvent(10.0, 0, 3, ""))
         writer.checkpoint(log)
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert len(part.sync_points) == 2
         assert part.sync_points[1].offset == 0.5
 
@@ -110,7 +110,7 @@ class TestModeParity:
         writer = AppendPartialWriter(partial_path(base, 1), 1, 1e-8)
         log1.records.append(BareEvent(0.25, 1, 3, "append-mode"))
         writer.checkpoint(log1)
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         texts = [r.text for r in merged.records]
         assert texts == ["append-mode", "rewrite-mode"]  # time order
 

@@ -26,7 +26,7 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
-    PilotOptions,
+    PilotConfig,
     run_pilot,
 )
 from repro.pilot.formats import parse_format
@@ -108,8 +108,8 @@ class TestStaticExtraction:
 class TestTraceExtraction:
     def test_observed_net_matches_run(self, tmp_path):
         path = str(tmp_path / "ring.clog2")
-        res = run_pilot(ring_app(4), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=path))
+        res = run_pilot(ring_app(4), 2,
+                        config=PilotConfig(services="j", mpe_log_path=path))
         assert res.ok
         net = extract_trace_net(path)
         assert net.kind == "trace"
@@ -123,8 +123,8 @@ class TestTraceExtraction:
 
     def test_process_names_come_from_definitions(self, tmp_path):
         path = str(tmp_path / "named.clog2")
-        run_pilot(ring_app(2), 2, argv=("-pisvc=j",),
-                  options=PilotOptions(mpe_log_path=path))
+        run_pilot(ring_app(2), 2,
+                  config=PilotConfig(services="j", mpe_log_path=path))
         net = extract_trace_net(path)
         assert net.rank_name(0) == "PI_MAIN"
 
@@ -174,8 +174,8 @@ class TestNetCli:
             "from tests.mpnet.test_net import ring_app\n"
             "main = ring_app(4)\n")
         log = str(tmp_path / "run.clog2")
-        res = run_pilot(ring_app(4), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=log))
+        res = run_pilot(ring_app(4), 2,
+                        config=PilotConfig(services="j", mpe_log_path=log))
         assert res.ok
         dot = str(tmp_path / "net.dot")
         svg = str(tmp_path / "net.svg")
@@ -197,8 +197,8 @@ class TestNetCli:
             "main = ring_app(4)\n")
         log = str(tmp_path / "short.clog2")
         # Run fewer rounds than the analyzed program predicts.
-        res = run_pilot(ring_app(3), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=log))
+        res = run_pilot(ring_app(3), 2,
+                        config=PilotConfig(services="j", mpe_log_path=log))
         assert res.ok
         code = cli_main(["net", f"{app}:main", "--nprocs", "2",
                          "--trace", log, "--format", "sarif"])

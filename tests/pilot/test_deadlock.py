@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pilot import run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     BundleUsage,
@@ -46,11 +46,13 @@ def two_way_wait_program(argv=()):
 
 class TestDetector:
     def test_cycle_detected_and_aborts(self):
-        res = run_pilot(two_way_wait_program(), 3, argv=("-pisvc=d",))
+        res = run_pilot(two_way_wait_program(), 3,
+                        config=PilotConfig(services="d"))
         expect_abort_with(res, "DEADLOCK_CYCLE")
 
     def test_diagnostic_names_processes_and_channels(self):
-        res = run_pilot(two_way_wait_program(), 3, argv=("-pisvc=d",))
+        res = run_pilot(two_way_wait_program(), 3,
+                        config=PilotConfig(services="d"))
         message = res.diagnostics.entries[-1].message
         assert "PI_MAIN" in message
         assert "P1" in message
@@ -77,7 +79,7 @@ class TestDetector:
             PI_Read(chans["c"], "%d")
             PI_StopMain(0)
 
-        res = run_pilot(main, 3, argv=("-pisvc=d",))
+        res = run_pilot(main, 3, config=PilotConfig(services="d"))
         expect_abort_with(res, "DEADLOCK_STALL")
 
     def test_three_way_cycle(self):
@@ -105,7 +107,7 @@ class TestDetector:
             PI_Write(chans["m_w1"], "%d", 1)
             PI_StopMain(0)
 
-        res = run_pilot(main, 4, argv=("-pisvc=d",))
+        res = run_pilot(main, 4, config=PilotConfig(services="d"))
         expect_abort_with(res, "DEADLOCK_CYCLE")
 
     def test_select_wait_reported(self):
@@ -130,7 +132,7 @@ class TestDetector:
             PI_Select(bundle)
             PI_StopMain(0)
 
-        res = run_pilot(main, 4, argv=("-pisvc=d",))
+        res = run_pilot(main, 4, config=PilotConfig(services="d"))
         assert res.aborted is not None
         assert any(code.startswith("DEADLOCK") for code in res.diagnostics.codes)
 
@@ -149,6 +151,6 @@ class TestDetector:
             assert int(PI_Read(chans["c"], "%d")) == 5
             PI_StopMain(0)
 
-        res = run_pilot(main, 3, argv=("-pisvc=d",))
+        res = run_pilot(main, 3, config=PilotConfig(services="d"))
         assert res.ok
         assert res.diagnostics.codes == []

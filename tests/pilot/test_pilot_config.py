@@ -1,23 +1,23 @@
-"""PilotConfig: the unified run API and its migration machinery.
+"""PilotConfig: the one run description.
 
-Round-trips between the three historical spellings (``-pi*`` argv,
-``PilotOptions``, loose kwargs) and the one current one; validation;
-and the deprecation/conflict rules on :func:`run_pilot` and
-:func:`resume_pilot`.
+The ``-pi*`` flag grammar and its layering over a base config,
+``resolved()`` runtime defaults, validation, and the rule that flags
+never reach ``run_pilot``'s argv.
 """
 
 import pytest
 
 from repro.pilot import (
+    CHECK_API,
     PilotConfig,
     PilotCosts,
-    PilotOptions,
     resume_pilot,
     run_pilot,
 )
 from repro.pilot.api import PI_Configure, PI_StartAll, PI_StopMain
-from repro.pilot.config import RESUME_GUARDED_FIELDS
+from repro.pilot.config import RESUME_GUARDED_FIELDS, RUNTIME_DEFAULTS
 from repro.pilot.errors import PilotError
+from repro.pilotcheck import capture_program
 
 
 def tiny_main(argv):
@@ -73,23 +73,55 @@ class TestRoundTrips:
         assert cfg.watchdog_timeout == 3.0
         assert cfg.watchdog_action == "abort"
 
-    def test_to_options_projection(self):
-        opts = PilotConfig(services="dj", check_level=0,
-                           scheduler="coroutine",
-                           journal_checkpoint_interval=0.5).to_options()
-        assert opts.services == frozenset("dj")
-        assert opts.check_level == 0
-        assert opts.scheduler == "coroutine"
-        assert opts.journal_checkpoint_interval == 0.5
-        # Unset fields keep the PilotOptions defaults.
-        assert opts.watchdog_action == PilotOptions().watchdog_action
+    def test_flag_equal_to_default_still_wins_over_base(self):
+        # Flags win over base whatever their value, including the
+        # runtime default.
+        cfg, _ = PilotConfig.from_argv(["-picheck=1"],
+                                       PilotConfig(check_level=3))
+        assert cfg.check_level == 1
+        cfg, _ = PilotConfig.from_argv(["-pirecover=off"],
+                                       PilotConfig(recover="msglog"))
+        assert cfg.recover is None
+        base = PilotConfig(watchdog_timeout=9.0, watchdog_action="checkpoint")
+        cfg, _ = PilotConfig.from_argv(["-piwatchdog=5:abort"], base)
+        assert (cfg.watchdog_timeout, cfg.watchdog_action) == (5.0, "abort")
 
-    def test_to_service_options_projection(self):
-        svc = PilotConfig(services="dj").to_service_options()
-        assert svc.deadlock and svc.jumpshot
-        assert not (svc.native_log or svc.static_check or svc.perf)
-        assert PilotConfig().to_service_options() == \
-            PilotOptions().service_options
+    def test_env_equal_to_default_still_wins_over_base(self):
+        cfg = PilotConfig.from_env({"REPRO_PI_CHECK": "1",
+                                    "REPRO_PI_RECOVER": "off"},
+                                   base=PilotConfig(check_level=0,
+                                                    recover="msglog"))
+        assert cfg.check_level == 1
+        assert cfg.recover is None
+
+    def test_stream_port_from_env(self):
+        cfg = PilotConfig.from_env({"REPRO_PI_SVC": "jv",
+                                    "REPRO_PI_STREAM_PORT": "8123"})
+        assert cfg.stream == 8123 and cfg.stream_port == 8123
+
+
+class TestResolved:
+    def test_resolved_fills_runtime_defaults(self):
+        cfg = PilotConfig().resolved()
+        for name, value in RUNTIME_DEFAULTS.items():
+            assert getattr(cfg, name) == value, name
+        assert cfg.services == ""
+        assert cfg.check_level == CHECK_API
+        # "No model given" stays unset: the journal manifest records
+        # costs/network only when the caller chose them.
+        assert cfg.costs is None and cfg.network is None
+        assert cfg.skews is None and cfg.faults is None
+
+    def test_resolved_keeps_explicit_values(self):
+        cfg = PilotConfig(services="jd", check_level=0, scheduler="coroutine",
+                          journal_checkpoint_interval=0.5, seed=4,
+                          stream=True).resolved()
+        assert cfg.services == "djv"  # sorted; stream switches v on
+        assert cfg.check_level == 0
+        assert cfg.scheduler == "coroutine"
+        assert cfg.journal_checkpoint_interval == 0.5
+        assert cfg.seed == 4
+        assert cfg.resolved() == cfg  # idempotent
 
 
 class TestValidation:
@@ -123,34 +155,32 @@ class TestRunPilotPaths:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_options_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="config=PilotConfig"):
-            res = run_pilot(tiny_main, 2, options=PilotOptions())
-        assert res.ok
+    def test_run_reads_the_resolved_config(self):
+        cfg = PilotConfig(check_level=2, costs=PilotCosts(api_call=1e-6))
+        res = run_pilot(tiny_main, 2, config=cfg)
+        assert res.run.options == cfg.resolved()
+        assert res.run.costs == cfg.costs
 
-    def test_legacy_costs_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="config=PilotConfig"):
-            res = run_pilot(tiny_main, 2, costs=PilotCosts())
-        assert res.ok
-
-    def test_pi_flags_in_argv_warn(self):
-        with pytest.warns(DeprecationWarning, match="from_argv"):
-            res = run_pilot(tiny_main, 2, argv=("-picheck=1",))
-        assert res.ok
-
-    def test_config_plus_legacy_kwarg_is_an_error(self):
-        with pytest.raises(PilotError, match="legacy keyword"):
-            run_pilot(tiny_main, 2, config=PilotConfig(), seed=3)
+    def test_pi_flags_in_argv_are_an_error(self):
+        with pytest.raises(PilotError, match="BAD_CONFIG.*from_argv"):
+            run_pilot(tiny_main, 2, argv=("-picheck=1",))
 
     def test_config_plus_pi_argv_is_an_error(self):
         with pytest.raises(PilotError, match="from_argv"):
             run_pilot(tiny_main, 2, argv=("-pisvc=d",),
                       config=PilotConfig())
 
+    def test_config_plus_legacy_kwarg_is_an_error(self):
+        # The loose keywords are gone: their values live in the config.
+        for legacy in (dict(options=None), dict(costs=PilotCosts()),
+                       dict(seed=3), dict(faults=None)):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                run_pilot(tiny_main, 2, config=PilotConfig(), **legacy)
+
     def test_resume_rejects_config_and_options_together(self, tmp_path):
-        with pytest.raises(PilotError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             resume_pilot(tiny_main, str(tmp_path / "nonexistent"),
-                         config=PilotConfig(), options=PilotOptions())
+                         config=PilotConfig(), options=None)
 
     def test_invalid_config_rejected_before_launch(self):
         with pytest.raises(PilotError, match="scheduler"):
@@ -159,3 +189,10 @@ class TestRunPilotPaths:
     def test_services_r_requires_journal_dir(self):
         with pytest.raises(PilotError, match="journal_dir"):
             run_pilot(tiny_main, 2, config=PilotConfig(services="r"))
+
+    def test_capture_rejects_pi_flags_too(self):
+        with pytest.raises(PilotError, match="BAD_CONFIG"):
+            capture_program(tiny_main, 2, ("-pisvc=d",))
+        captured = capture_program(tiny_main, 2,
+                                   config=PilotConfig(services="d"))
+        assert captured.options == PilotConfig(services="d").resolved()

@@ -3,7 +3,7 @@ utilities (PI_StartTime/PI_EndTime), PI_Log and PI_IsLogging."""
 
 import pytest
 
-from repro.pilot import PilotCosts, PilotOptions, run_pilot
+from repro.pilot import PilotCosts, PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_Abort,
     PI_Compute,
@@ -41,18 +41,20 @@ class TestRunner:
             PI_Configure(())
 
     def test_deterministic_across_runs(self):
-        r1 = run_pilot(trivial, 4, seed=3)
-        r2 = run_pilot(trivial, 4, seed=3)
+        r1 = run_pilot(trivial, 4, config=PilotConfig(seed=3))
+        r2 = run_pilot(trivial, 4, config=PilotConfig(seed=3))
         assert r1.total_time == r2.total_time
 
     def test_costs_scale_run_time(self):
-        cheap = run_pilot(trivial, 3, costs=PilotCosts(config_call=1e-7))
-        pricey = run_pilot(trivial, 3, costs=PilotCosts(config_call=1e-3))
+        cheap = run_pilot(trivial, 3, config=PilotConfig(
+            costs=PilotCosts(config_call=1e-7)))
+        pricey = run_pilot(trivial, 3, config=PilotConfig(
+            costs=PilotCosts(config_call=1e-3)))
         assert pricey.total_time > cheap.total_time
 
     def test_mpe_unavailable_warns_not_fails(self, capsys):
-        opts = PilotOptions(mpe_available=False)
-        res = run_pilot(trivial, 3, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(services="j", mpe_available=False)
+        res = run_pilot(trivial, 3, config=opts)
         assert res.ok
         err = capsys.readouterr().err
         assert "not available" in err
@@ -66,7 +68,8 @@ class TestRunner:
             PI_StartAll()
             PI_StopMain(0)
 
-        run_pilot(main, 2, argv=("-pisvc=c", "input.csv", "-picheck=2", "-v"))
+        run_pilot(main, 2, argv=("input.csv", "-v"),
+                  config=PilotConfig(services="c", check_level=2))
         assert seen[0] == ["input.csv", "-v"]
 
 
@@ -140,7 +143,7 @@ class TestUtilities:
 
         run_pilot(main, 2)
         assert seen["logging"] is False
-        run_pilot(main, 3, argv=("-pisvc=c",))
+        run_pilot(main, 3, config=PilotConfig(services="c"))
         assert seen["logging"] is True
 
     def test_pi_log_is_harmless_without_mpe(self):
@@ -184,7 +187,7 @@ class TestUtilities:
             PI_StartAll()
             PI_StopMain(0)
 
-        res = run_pilot(main, 2, argv=("-picheck=0",))
+        res = run_pilot(main, 2, config=PilotConfig(check_level=0))
         assert res.ok
-        bad = run_pilot(main, 2, argv=("-picheck=1",))
+        bad = run_pilot(main, 2, config=PilotConfig(check_level=1))
         assert bad.aborted is not None

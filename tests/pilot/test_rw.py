@@ -4,14 +4,14 @@ checks, and the level-2 / level-3 checking paths."""
 import numpy as np
 import pytest
 
-from repro.pilot import PilotOptions
+from repro.pilot import PilotConfig
 from repro.pilot.api import PI_Read, PI_Write
 
 from tests.pilot.helpers import expect_abort_with, run_main_worker
 
 
 def echo_roundtrip(write_fmt, write_args, read_fmt, read_args=(), *,
-                   argv=(), options=None, nprocs=3):
+                   argv=(), config=None, nprocs=3):
     """Main writes, worker reads and sends back a marker; returns what
     the worker read."""
     got = {}
@@ -25,7 +25,7 @@ def echo_roundtrip(write_fmt, write_args, read_fmt, read_args=(), *,
         PI_Write(ctx.frm[ctx.index], "%d", 1)
 
     res = run_main_worker(main, worker, nprocs=nprocs, argv=argv,
-                          options=options)
+                          config=config)
     return res, got.get("value")
 
 
@@ -147,7 +147,7 @@ class TestFormatMatchLevel2:
         def worker(ctx):
             PI_Read(ctx.to[ctx.index], "%lf")
 
-        res = run_main_worker(main, worker, argv=("-picheck=2",))
+        res = run_main_worker(main, worker, config=PilotConfig(check_level=2))
         expect_abort_with(res, "FORMAT_MISMATCH")
 
     def test_count_mismatch_detected(self):
@@ -157,7 +157,7 @@ class TestFormatMatchLevel2:
         def worker(ctx):
             PI_Read(ctx.to[ctx.index], "%4d")
 
-        res = run_main_worker(main, worker, argv=("-picheck=2",))
+        res = run_main_worker(main, worker, config=PilotConfig(check_level=2))
         expect_abort_with(res, "FORMAT_MISMATCH")
 
     def test_mismatch_ignored_below_level2(self):
@@ -171,7 +171,7 @@ class TestFormatMatchLevel2:
             PI_Read(ctx.to[ctx.index], "%u")
             PI_Write(ctx.frm[ctx.index], "%d", 1)
 
-        res = run_main_worker(main, worker, argv=("-picheck=1",))
+        res = run_main_worker(main, worker, config=PilotConfig(check_level=1))
         assert res.ok
 
 
@@ -180,7 +180,8 @@ class TestStrictLevel3:
         def main(ctx):
             PI_Write(ctx.to[0], "%2d", [1, 2, 3])
 
-        res = run_main_worker(main, lambda ctx: None, argv=("-picheck=3",))
+        res = run_main_worker(main, lambda ctx: None,
+                              config=PilotConfig(check_level=3))
         expect_abort_with(res, "BAD_ARGUMENTS")
 
     def test_same_call_passes_at_level_1(self):
@@ -192,7 +193,7 @@ class TestStrictLevel3:
             PI_Read(ctx.to[ctx.index], "%2d")
             PI_Write(ctx.frm[ctx.index], "%d", 1)
 
-        res = run_main_worker(main, worker, argv=("-picheck=1",))
+        res = run_main_worker(main, worker, config=PilotConfig(check_level=1))
         assert res.ok
 
 

@@ -1,4 +1,4 @@
-"""ServiceOptions: the single -pisvc parser, the p service, fault plans."""
+"""Service letters: the single -pisvc validator, the p service, fault plans."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
+    PilotConfig,
     PilotError,
-    PilotOptions,
-    ServiceOptions,
     load_fault_plan,
     run_pilot,
 )
-from repro.pilot.program import parse_argv
 from repro.pilot.services import parse_service_letters
 from repro.vmpi.faults import (
     ClockFault,
@@ -47,19 +45,20 @@ def ping_main(argv):
 
 class TestServiceOptions:
     def test_letters_round_trip(self):
-        svc = ServiceOptions.from_letters("cjp")
-        assert svc.native_log and svc.jumpshot and svc.perf
-        assert not svc.deadlock and not svc.static_check
-        assert svc.letters == frozenset("cjp")
+        cfg, _ = PilotConfig.from_argv(["-pisvc=pjc"])
+        assert cfg.services == "cjp"
+        assert cfg.to_argv() == ["-pisvc=cjp"]
+        assert PilotConfig.from_argv(cfg.to_argv())[0] == cfg
 
     def test_needs_service_rank(self):
-        assert ServiceOptions.from_letters("c").needs_service_rank
-        assert ServiceOptions.from_letters("d").needs_service_rank
-        assert not ServiceOptions.from_letters("jp").needs_service_rank
+        assert PilotConfig(services="c").needs_service_rank
+        assert PilotConfig(services="d").needs_service_rank
+        assert not PilotConfig(services="jp").needs_service_rank
+        assert not PilotConfig().needs_service_rank
 
     def test_with_letters_is_additive(self):
-        svc = ServiceOptions.from_letters("j").with_letters("p")
-        assert svc.letters == frozenset("jp")
+        cfg, _ = PilotConfig.from_argv(["-pisvc=j", "-pisvc=p"])
+        assert cfg.services == "jp"
 
     def test_unknown_letter_is_the_one_error(self):
         with pytest.raises(PilotError) as exc:
@@ -68,22 +67,26 @@ class TestServiceOptions:
 
     def test_parse_argv_uses_shared_parser(self):
         with pytest.raises(PilotError) as exc:
-            parse_argv(["-pisvc=q"], None)
+            PilotConfig.from_argv(["-pisvc=q"])
+        assert "unknown -pisvc letters ['q']" in str(exc.value)
+        with pytest.raises(PilotError) as exc:
+            PilotConfig(services="q").validate()
         assert "unknown -pisvc letters ['q']" in str(exc.value)
 
-    def test_pilotoptions_bridge(self):
-        opts, _ = parse_argv(["-pisvc=cdp"], None)
-        assert opts.services == frozenset("cdp")
-        svc = opts.service_options
-        assert svc.native_log and svc.deadlock and svc.perf
-        assert opts.perf_requested
+    def test_service_properties_read_letters(self):
+        cfg = PilotConfig(services="cdjp", mpe_log_path="x.clog2")
+        assert cfg.needs_service_rank and cfg.mpe_enabled
+        assert cfg.perf_snapshot_path == "x.clog2.perf.json"
+        assert not PilotConfig(services="j",
+                               mpe_available=False).mpe_enabled
+        assert not PilotConfig(services="cd").mpe_enabled
 
 
 class TestPerfService:
     def test_pisvc_p_dumps_snapshot(self, tmp_path):
         clog = str(tmp_path / "run.clog2")
-        res = run_pilot(ping_main, 2, argv=("-pisvc=jp",),
-                        options=PilotOptions(mpe_log_path=clog))
+        res = run_pilot(ping_main, 2,
+                        config=PilotConfig(services="jp", mpe_log_path=clog))
         assert res.perf is not None
         snap_path = clog + ".perf.json"
         assert os.path.exists(snap_path)
@@ -94,8 +97,8 @@ class TestPerfService:
 
     def test_without_p_no_recorder(self, tmp_path):
         clog = str(tmp_path / "run.clog2")
-        res = run_pilot(ping_main, 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=clog))
+        res = run_pilot(ping_main, 2,
+                        config=PilotConfig(services="j", mpe_log_path=clog))
         assert res.perf is None
         assert not os.path.exists(clog + ".perf.json")
 
@@ -140,9 +143,10 @@ class TestFaultPlanLoading:
         plan_path = self._write(tmp_path, {"seed": 1, "rules": [
             {"kind": "clock", "rank": 1, "offset": 2e-3}]})
         clog = str(tmp_path / "run.clog2")
-        res = run_pilot(ping_main, 2,
-                        argv=(f"-pifault-plan={plan_path}", "-pisvc=j"),
-                        options=PilotOptions(mpe_log_path=clog))
+        cfg, argv = PilotConfig.from_argv(
+            [f"-pifault-plan={plan_path}", "-pisvc=j"],
+            PilotConfig(mpe_log_path=clog))
+        res = run_pilot(ping_main, 2, argv, config=cfg)
         assert res.ok
         assert res.run.options.fault_plan_path == plan_path
 
@@ -153,8 +157,8 @@ class TestFaultPlanLoading:
         plan_path = self._write(tmp_path, {"rules": [
             {"kind": "crash", "rank": 0, "at": 0.0}]})
         clog = str(tmp_path / "run.clog2")
-        res = run_pilot(ping_main, 2,
-                        argv=(f"-pifault-plan={plan_path}",),
-                        options=PilotOptions(mpe_log_path=clog),
-                        faults=FaultPlan(seed=0, rules=[]))
+        cfg, argv = PilotConfig.from_argv(
+            [f"-pifault-plan={plan_path}"],
+            PilotConfig(mpe_log_path=clog, faults=FaultPlan(seed=0, rules=[])))
+        res = run_pilot(ping_main, 2, argv, config=cfg)
         assert res.ok  # the argv plan would have crashed rank 0

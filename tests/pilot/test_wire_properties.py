@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pilot import run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -87,7 +87,8 @@ class TestWireProperties:
     def test_single_item_roundtrip(self, item, check_level):
         fmt, write_args, read_args, verify = item
         main, got = roundtrip_program(fmt, write_args, read_args, 1)
-        res = run_pilot(main, 2, argv=(f"-picheck={check_level}",))
+        res = run_pilot(main, 2,
+                        config=PilotConfig(check_level=check_level))
         assert res.ok
         value = got["value"]
         if fmt.startswith("%^"):
@@ -102,7 +103,7 @@ class TestWireProperties:
         write_args = tuple(a for i in items for a in i[1])
         read_args = tuple(a for i in items for a in i[2])
         main, got = roundtrip_program(fmt, write_args, read_args, len(items))
-        res = run_pilot(main, 2, argv=("-picheck=3",))
+        res = run_pilot(main, 2, config=PilotConfig(check_level=3))
         assert res.ok
         values = got["value"]
         if not isinstance(values, tuple):

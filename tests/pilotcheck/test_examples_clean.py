@@ -22,6 +22,7 @@ from repro.apps import (
 from repro.apps.collisions import collisions_main
 from repro.apps.labs import DYNAMIC, STATIC
 from repro.apps.thumbnail import ThumbnailConfig, thumbnail_main
+from repro.pilot import PilotConfig
 from repro.pilotcheck import analyze_program
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
@@ -35,8 +36,8 @@ def load_example(name):
     return module
 
 
-def assert_clean(main, nprocs, argv=()):
-    analysis = analyze_program(main, nprocs, argv)
+def assert_clean(main, nprocs, argv=(), config=None):
+    analysis = analyze_program(main, nprocs, argv, config=config)
     assert analysis.findings == [], [f.render() for f in analysis.findings]
     return analysis
 
@@ -84,7 +85,7 @@ class TestAppsAnalyzeClean:
 class TestExamplesAnalyzeClean:
     def test_quickstart(self):
         module = load_example("quickstart.py")
-        assert_clean(module.main, 5, ("-pisvc=j",))
+        assert_clean(module.main, 5, config=PilotConfig(services="j"))
 
     def test_deadlock_detector_buggy_main_fires_pc003(self):
         module = load_example("deadlock_detector.py")

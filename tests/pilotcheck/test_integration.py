@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.pilot import PilotConfig
 from repro.pilotcheck import Finding, annotate_doc, match_deadlock
 
 from tests.pilotcheck import fixtures
@@ -16,25 +17,25 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 class TestServiceFlag:
     def test_s_is_a_valid_service_letter(self):
-        from repro.pilot.program import parse_argv
-
-        opts, leftover = parse_argv(("-pisvc=s", "app-arg"))
-        assert "s" in opts.services
+        cfg, leftover = PilotConfig.from_argv(("-pisvc=s", "app-arg"))
+        assert "s" in cfg.services
         assert leftover == ["app-arg"]
         # The analyzer is advisory: it must not consume a service rank.
-        assert not opts.needs_service_rank
+        assert not cfg.needs_service_rank
 
     def test_clean_run_with_check_service(self):
         from repro.pilot import run_pilot
 
-        result = run_pilot(fixtures.pc003_near_miss, 2, argv=("-pisvc=s",))
+        result = run_pilot(fixtures.pc003_near_miss, 2,
+                           config=PilotConfig(services="s"))
         assert result.ok
         assert result.run.static_findings == []
 
     def test_findings_attach_to_run(self, capsys):
         from repro.pilot import run_pilot
 
-        result = run_pilot(fixtures.pc004_bad, 2, argv=("-pisvc=s",))
+        result = run_pilot(fixtures.pc004_bad, 2,
+                           config=PilotConfig(services="s"))
         assert result.ok  # PC004 is a warning; the run itself succeeds
         assert [f.code for f in result.run.static_findings] == ["PC004"]
         assert "PILOT CHECK: PC004" in capsys.readouterr().err
@@ -44,7 +45,7 @@ class TestServiceFlag:
         from repro.vmpi.errors import SimulationDeadlock
 
         with pytest.raises(SimulationDeadlock) as excinfo:
-            run_pilot(fixtures.pc003_bad, 2, argv=("-pisvc=s",))
+            run_pilot(fixtures.pc003_bad, 2, config=PilotConfig(services="s"))
         matched = excinfo.value.static_findings
         assert [f.code for f in matched] == ["PC003"]
         assert matched[0].ranks == (0, 1)
@@ -68,7 +69,7 @@ class TestServiceFlag:
             PI_StartAll()
             PI_StopMain(0)
 
-        result = run_pilot(bomb_then_fine, 2, argv=("-pisvc=s",))
+        result = run_pilot(bomb_then_fine, 2, config=PilotConfig(services="s"))
         assert result.ok
         assert "static analysis unavailable" in capsys.readouterr().err
 
@@ -163,6 +164,17 @@ class TestCli:
                             "--nprocs", "2")
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "PC003" in proc.stdout
+
+    def test_analyze_pilot_arg_flags_reach_the_config(self):
+        # -pisvc=c claims a service rank, so the 2-process program no
+        # longer fits in 2 ranks; the flag is parsed, not passed on.
+        target = self.fixture_target("pc003_near_miss")
+        proc = self.run_cli("analyze", target, "--nprocs", "2",
+                            "--pilot-arg=-pisvc=c")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "TOO_MANY_PROCESSES" in proc.stderr
+        assert self.run_cli("analyze", target, "--nprocs", "3",
+                            "--pilot-arg=-pisvc=c").returncode == 0
 
     def test_analyze_warning_only_respects_strict(self):
         target = self.fixture_target("pc004_bad")

@@ -222,12 +222,11 @@ class TestRealPipeline:
     @pytest.fixture(scope="class")
     def lab2_clog(self, tmp_path_factory):
         from repro.apps import Lab2Config, lab2_main
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
 
         path = str(tmp_path_factory.mktemp("lint") / "lab2.clog2")
         result = run_pilot(lambda argv: lab2_main(argv, Lab2Config()), 6,
-                           argv=("-pisvc=j",),
-                           options=PilotOptions(mpe_log_path=path))
+                           config=PilotConfig(services="j", mpe_log_path=path))
         assert result.ok
         return path, result
 
@@ -237,12 +236,12 @@ class TestRealPipeline:
 
     def test_converted_slog2_lints_clean(self, lab2_clog, tmp_path):
         from repro import slog2
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.slog2.file import write_slog2
 
         path, result = lab2_clog
         doc, _ = slog2.convert(
-            read_clog2(path),
+            read_log(path).log,
             {p.rank: p.name for p in result.run.processes})
         out = str(tmp_path / "lab2.slog2")
         write_slog2(out, doc)

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -42,9 +42,9 @@ def pingpong(argv):
 
 @pytest.fixture
 def combined_run(tmp_path):
-    opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                        mpe_log_path=str(tmp_path / "m.clog2"))
-    res = run_pilot(pingpong, 3, argv=("-pisvc=cdj",), options=opts)
+    opts = PilotConfig(services="cdj", native_log_path=str(tmp_path / "n.log"),
+                       mpe_log_path=str(tmp_path / "m.clog2"))
+    res = run_pilot(pingpong, 3, config=opts)
     assert res.ok
     return res, tmp_path
 
@@ -58,7 +58,7 @@ class TestCombinedServices:
     def test_service_rank_displaces_and_appears_without_compute(self, combined_run):
         res, tmp_path = combined_run
         assert res.run.available_processes == 2  # 3 ranks - service
-        doc, report = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, report = convert(read_log(str(tmp_path / "m.clog2")).log)
         assert report.clean, report.summary()
         # The service rank (2) executed the configuration phase, so it
         # has a bisque state — but no gray Compute state: it ran the
@@ -70,7 +70,7 @@ class TestCombinedServices:
 
     def test_mpe_log_complete_despite_service_traffic(self, combined_run):
         res, tmp_path = combined_run
-        doc, _ = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, _ = convert(read_log(str(tmp_path / "m.clog2")).log)
         # 6 app messages; the service-feed traffic must NOT appear as
         # arrows (it is infrastructure, not Pilot communication).
         assert len(doc.arrows) == 6
@@ -93,9 +93,10 @@ class TestCombinedServices:
             PI_Read(chans["back"], "%d")  # nobody will write
             PI_StopMain(0)
 
-        opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                            mpe_log_path=str(tmp_path / "m.clog2"))
-        res = run_pilot(buggy, 3, argv=("-pisvc=cdj",), options=opts)
+        opts = PilotConfig(services="cdj",
+                           native_log_path=str(tmp_path / "n.log"),
+                           mpe_log_path=str(tmp_path / "m.clog2"))
+        res = run_pilot(buggy, 3, config=opts)
         assert res.aborted is not None
         assert any(c.startswith("DEADLOCK") for c in res.diagnostics.codes)
         # Native log survived the abort; MPE log did not (no salvage).

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -50,10 +50,10 @@ def staged_worker_program(argv):
 
 def run_logged(tmp_path, main=staged_worker_program, nprocs=2):
     path = str(tmp_path / "c.clog2")
-    res = run_pilot(main, nprocs, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+    res = run_pilot(main, nprocs,
+                    config=PilotConfig(services="j", mpe_log_path=path))
     assert res.ok
-    doc, report = convert(read_clog2(path))
+    doc, report = convert(read_log(path).log)
     return res, doc, report
 
 

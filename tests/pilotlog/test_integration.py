@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     BundleUsage,
@@ -32,13 +32,11 @@ from repro.pilotlog import JumpshotOptions
 from repro.slog2 import convert
 
 
-def run_and_convert(main, nprocs, tmp_path, *, argv=("-pisvc=j",),
-                    jopts=None, **kw):
+def run_and_convert(main, nprocs, tmp_path, *, jopts=None, **fields):
     path = str(tmp_path / "run.clog2")
-    opts = PilotOptions(mpe_log_path=path)
-    res = run_pilot(main, nprocs, argv=argv, options=opts,
-                    mpe_options=jopts, **kw)
-    doc, report = convert(read_clog2(path),
+    cfg = PilotConfig(services="j", mpe_log_path=path, **fields)
+    res = run_pilot(main, nprocs, config=cfg, mpe_options=jopts)
+    doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})
     return res, doc, report
 
@@ -308,8 +306,8 @@ class TestAbortLosesLog:
             PI_StartAll()
             PI_Abort(1, "giving up")
 
-        opts = PilotOptions(mpe_log_path=path)
-        res = run_pilot(main, 2, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(services="j", mpe_log_path=path)
+        res = run_pilot(main, 2, config=opts)
         assert res.aborted is not None
         assert not os.path.exists(path)
 
@@ -332,14 +330,14 @@ class TestColorsInLog:
 
 class TestOverheadKnobs:
     def test_logging_adds_modest_time(self, tmp_path):
-        def timed(argv_extra):
+        def timed(services):
             path = str(tmp_path / "t.clog2")
-            opts = PilotOptions(mpe_log_path=path)
-            res = run_pilot(simple_exchange, 2, argv=argv_extra, options=opts)
+            cfg = PilotConfig(services=services, mpe_log_path=path)
+            res = run_pilot(simple_exchange, 2, config=cfg)
             return res.exec_end_time
 
-        plain = timed(())
-        logged = timed(("-pisvc=j",))
+        plain = timed("")
+        logged = timed("j")
         # MPE logging overhead is "extremely slight" relative to the
         # 10ms of compute in the program (Section III.E).
         assert logged < plain * 1.5

@@ -73,8 +73,8 @@ class TestRealComparison:
         """The F4 comparison through the diff tool: fixing the
         serialization shrinks makespan and blocked-read time."""
         from repro.apps import GOOD, INSTANCE_A, CollisionConfig, collisions_main
-        from repro.mpe import read_clog2
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.mpe import read_log
+        from repro.pilot import PilotConfig, run_pilot
         from repro.slog2 import convert
 
         cfg = CollisionConfig(nrecords=2000)
@@ -82,9 +82,8 @@ class TestRealComparison:
         for variant in (INSTANCE_A, GOOD):
             path = str(tmp_path / f"{variant}.clog2")
             run_pilot(lambda argv: collisions_main(argv, variant, cfg), 5,
-                      argv=("-pisvc=j",),
-                      options=PilotOptions(mpe_log_path=path))
-            docs[variant], _ = convert(read_clog2(path))
+                      config=PilotConfig(services="j", mpe_log_path=path))
+            docs[variant], _ = convert(read_log(path).log)
         d = diff_logs(docs[INSTANCE_A], docs[GOOD],
                       label_a="instance A", label_b="intended")
         assert d.speedup > 1.2

@@ -16,8 +16,8 @@ import pytest
 
 from repro import jumpshot
 from repro.apps import lab2_main
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -25,10 +25,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def produce(tmp_dir):
     path = os.path.join(tmp_dir, "lab2.clog2")
-    res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+    res = run_pilot(lab2_main, 6,
+                    config=PilotConfig(services="j", mpe_log_path=path))
     assert res.ok
-    doc, report = convert(read_clog2(path),
+    doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})
     assert report.clean
     view = jumpshot.View(doc)

@@ -22,8 +22,8 @@ from repro.apps import (
     lab3_main,
     thumbnail_main,
 )
-from repro.mpe import read_clog2
-from repro.pilot import PilotOptions, run_pilot
+from repro.mpe import read_log
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 
 SERVICE_COMBOS = ["", "c", "d", "j", "cd", "cj", "cdj"]
@@ -48,17 +48,17 @@ def test_app_under_services(app, services, tmp_path):
     main, base_procs, check = APPS[app]
     # A service rank displaces a worker: add one so the app still fits.
     nprocs = base_procs + (1 if set(services) & {"c", "d"} else 0)
-    argv = (f"-pisvc={services}",) if services else ()
-    opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                        mpe_log_path=str(tmp_path / "m.clog2"))
-    res = run_pilot(main, nprocs, argv=argv, options=opts)
+    cfg = PilotConfig(services=services,
+                      native_log_path=str(tmp_path / "n.log"),
+                      mpe_log_path=str(tmp_path / "m.clog2"))
+    res = run_pilot(main, nprocs, config=cfg)
     assert res.ok, f"{app} under -pisvc={services!r} aborted"
     assert check(res.vmpi.results[0]), f"{app} wrong under {services!r}"
 
     if "c" in services:
         assert os.path.exists(tmp_path / "n.log")
     if "j" in services:
-        doc, report = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, report = convert(read_log(str(tmp_path / "m.clog2")).log)
         assert report.clean, f"{app}/{services}: {report.summary()}"
         assert doc.states  # something was actually logged
     else:
