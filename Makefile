@@ -24,8 +24,8 @@ lint:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -s
 
-# Rank-count scaling: the coroutine scheduler vs thread-per-rank on the
-# fleet app, up to 1001 ranks in one process (see docs/ARCHITECTURE.md).
+# Rank-count scaling of the coroutine scheduler on the fleet app, up to
+# 1001 ranks in one process (see docs/ARCHITECTURE.md).
 # Writes benchmarks/out/BENCH_ranks.json.
 fleet:
 	$(PY) -m pytest benchmarks/test_ranks.py -q -s

@@ -18,7 +18,7 @@ pytestmark = pytest.mark.benchmark(group="micro")
 
 
 def test_engine_context_switches(benchmark):
-    """Round-trips through the scheduler handoff (2 threads)."""
+    """Round-trips through the scheduler's task switch."""
     N = 2000
 
     def run():

@@ -1,13 +1,12 @@
-"""Rank-count scaling: coroutine scheduler vs thread-per-rank.
+"""Rank-count scaling of the generator rank scheduler.
 
 Runs the dynamic master/worker fleet (:mod:`repro.apps.fleet`) at
-increasing rank counts on both backends and records wall-clock time
-and peak RSS in ``benchmarks/out/BENCH_ranks.json``.  The headline
-claim this file proves: **a ≥1,000-rank Pilot job completes in a
-single OS process on the coroutine backend**, where thread-per-rank
-at the same scale is dominated by futex handoffs and kernel stacks
-(at 10k ranks it cannot even start — default pthread stacks alone
-would need tens of GB).
+increasing rank counts and records wall-clock time and peak RSS in
+``benchmarks/out/BENCH_ranks.json``.  The headline claim this file
+proves: **a ≥1,000-rank Pilot job completes in a single OS process**,
+a scale at which an OS thread per rank is dominated by futex handoffs
+and kernel stacks (at 10k ranks it cannot even start — default pthread
+stacks alone would need tens of GB).
 
 Pilot costs are zeroed and services are off so the measurement is the
 *scheduler*, not the workload: every remaining microsecond is task
@@ -28,16 +27,15 @@ import pytest
 from repro.apps.fleet import make_fleet_main
 from repro.pilot import PilotConfig, PilotCosts, run_pilot
 
-#: (scheduler, workers) cells measured; ranks = workers + 1.  The
-#: thread backend stops at 300 — beyond that a single cell would
-#: dominate the whole benchmark's runtime (the point this file makes).
-CELLS = (
-    ("coroutine", 100),
-    ("coroutine", 300),
-    ("coroutine", 1000),
-    ("threads", 100),
-    ("threads", 300),
-)
+#: Worker counts measured; ranks = workers + 1.
+CELLS = (100, 300, 1000)
+
+#: The virtual run time of each cell.  The engine is deterministic, so
+#: these are exact; they were recorded when a thread-per-rank backend
+#: still existed, and both backends produced them.
+VIRTUAL_S = {100: 0.00020981500000000057,
+             300: 0.0005922810000000083,
+             1000: 0.0019239949999998588}
 
 ZERO_COSTS = PilotCosts(api_call=0.0, config_call=0.0, check_per_level=0.0)
 
@@ -47,18 +45,17 @@ def peak_rss_kib() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def run_cell(scheduler: str, workers: int) -> dict:
-    cfg = PilotConfig(scheduler=scheduler, check_level=0, costs=ZERO_COSTS)
+def run_cell(workers: int) -> dict:
+    cfg = PilotConfig(check_level=0, costs=ZERO_COSTS)
     main = make_fleet_main(workers)
     rss_before = peak_rss_kib()
     t0 = time.perf_counter()
     result = run_pilot(main, workers + 1, config=cfg)
     wall = time.perf_counter() - t0
-    assert result.ok, f"{scheduler}/{workers}: aborted {result.aborted}"
+    assert result.ok, f"{workers} workers: aborted {result.aborted}"
     summary = result.vmpi.results[0]
     assert summary["total"] == summary["ntasks"], summary
     return {
-        "scheduler": scheduler,
         "workers": workers,
         "ranks": workers + 1,
         "tasks": summary["ntasks"],
@@ -71,27 +68,24 @@ def run_cell(scheduler: str, workers: int) -> dict:
 
 @pytest.mark.benchmark(group="ranks")
 def test_rank_scaling(artifacts_dir, comparison):
-    rows = [run_cell(scheduler, workers) for scheduler, workers in CELLS]
+    rows = [run_cell(workers) for workers in CELLS]
 
-    by_cell = {(r["scheduler"], r["workers"]): r for r in rows}
-    # The tentpole acceptance: >= 1,000 ranks complete single-process
-    # on the coroutine backend.
-    big = by_cell[("coroutine", 1000)]
+    by_cell = {r["workers"]: r for r in rows}
+    # The headline: >= 1,000 ranks complete in one process.
+    big = by_cell[1000]
     assert big["ranks"] >= 1001
-    # Virtual results must not depend on the backend (determinism is
-    # byte-level; the virtual clock is the cheapest proxy).
-    for workers in (100, 300):
-        assert (by_cell[("coroutine", workers)]["virtual_s"]
-                == by_cell[("threads", workers)]["virtual_s"])
+    # Determinism is byte-level; the virtual clock is the cheapest proxy.
+    for workers, virtual_s in VIRTUAL_S.items():
+        assert by_cell[workers]["virtual_s"] == virtual_s
 
     table = comparison("fleet rank scaling (wall seconds)")
     for r in rows:
-        table.add(f"{r['scheduler']:>9} x{r['ranks']:>5}",
+        table.add(f"x{r['ranks']:>5}",
                   "-", f"{r['wall_s']:.2f}s rss+{r['rss_growth_kib']}KiB")
 
     out = os.path.join(artifacts_dir, "BENCH_ranks.json")
     with open(out, "w") as fh:
         json.dump({"cells": rows,
-                   "note": "zero Pilot costs, services off, check 0; "
-                           "threads capped at 300 workers"}, fh, indent=2)
+                   "note": "zero Pilot costs, services off, check 0"},
+                  fh, indent=2)
     print(f"\nwrote {out}")

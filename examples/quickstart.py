@@ -53,8 +53,8 @@ def main(argv):
 
     for i in range(nworkers):
         PI_Write(to_worker[i], "%d", i + 10)
-    total = sum(int(PI_Read(results[i], "%d")) for i in range(nworkers))
-    print(f"sum of squares of 10..{10 + nworkers - 1} = {total}")
+    squares = [int(PI_Read(results[i], "%d")) for i in range(nworkers)]
+    print(f"sum of squares of 10..{10 + nworkers - 1} = {sum(squares)}")
     PI_StopMain(0)
 
 

@@ -27,7 +27,6 @@ from repro.apps.lab2 import Lab2Config, lab2_main
 from repro.apps.labs import DYNAMIC, STATIC, Lab3Config, lab1_main, lab3_main
 from repro.apps.thumbnail import ThumbnailConfig, thumbnail_main
 from repro.pilot import PilotConfig, run_pilot
-from repro.vmpi.engine import SCHEDULERS
 
 APPS = ("lab1", "lab2", "lab3", "thumbnail", "collisions",
         "collisions-buggy-a", "collisions-buggy-b", "fleet")
@@ -77,17 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default=STATIC, help="lab3: work allocation scheme")
     parser.add_argument("--tasks", type=int, default=64,
                         help="lab3: number of tasks in the bag")
-    parser.add_argument("--scheduler", choices=SCHEDULERS, default=None,
-                        help="rank execution backend (coroutine hosts "
-                             "thousands of ranks in one process)")
     parser.add_argument("--workers", type=int, default=1000,
                         help="fleet: number of worker ranks")
     return parser
 
 
 def make_main(args):
-    # functools.partial, not lambdas: the coroutine scheduler's call
-    # rewriter unwraps partials, but never looks inside a lambda body.
     if args.app == "lab1":
         return lab1_main
     if args.app == "lab2":
@@ -136,14 +130,10 @@ def summarize_result(app: str, value) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     nprocs = args.nprocs or DEFAULT_NPROCS.get(args.app, args.workers + 1)
-    scheduler = args.scheduler
-    if scheduler is None and args.app == "fleet" and nprocs > 64:
-        scheduler = "coroutine"  # thread-per-rank cannot host a fleet
     config = PilotConfig(
         services=args.pisvc or None,
         check_level=args.check_level,
         seed=args.seed,
-        scheduler=scheduler,
         mpe_log_path=args.clog,
         native_log_path=os.path.splitext(args.clog)[0] + ".native.log")
 

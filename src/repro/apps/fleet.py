@@ -2,11 +2,11 @@
 
 The paper's lab programs top out at a handful of processes — the
 teaching cluster's reality.  ``fleet`` is the scale-out variant used to
-exercise the coroutine rank scheduler: one master (PI_MAIN) feeding
+exercise the generator rank scheduler: one master (PI_MAIN) feeding
 ``W`` workers demand-driven over per-worker request channels, selected
 with a single ``PI_Select`` bundle.  At ``W = 10_000`` that is ten
-thousand and one live ranks in one OS process — far past what
-thread-per-rank can host (default pthread stacks alone would need
+thousand and one live ranks in one OS process — far past what an OS
+thread per rank could host (default pthread stacks alone would need
 ~80 GB) and exactly what the generator-based scheduler exists for.
 
 The workload is deliberately tiny per task (a seeded pseudo-random

@@ -17,8 +17,9 @@ Python-specific calling conventions (documented deviations from C):
   function pointer; ``work(index, arg2)`` runs on the process's rank.
 
 All functions must run inside :func:`repro.pilot.run_pilot` — they look
-up the active :class:`~repro.pilot.program.PilotRun` through thread-
-local state, mirroring Pilot's per-process library globals.
+up the active :class:`~repro.pilot.program.PilotRun` through one
+module-level binding (every rank runs on the launcher's thread),
+mirroring Pilot's per-process library globals.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Typed, unified run configuration: :class:`PilotConfig`.
 
 ``PilotConfig`` is the one description of a Pilot run: services, check
-level, log paths, robustness machinery, simulation parameters and the
-rank scheduler, in one frozen dataclass::
+level, log paths, robustness machinery and simulation parameters, in
+one frozen dataclass::
 
     from repro.pilot import PilotConfig, run_pilot
 
-    cfg = PilotConfig(services="cdj", scheduler="coroutine",
-                      watchdog_timeout=5.0)
+    cfg = PilotConfig(services="cdj", watchdog_timeout=5.0)
     run_pilot(main, nprocs=8, config=cfg)
 
 Every field defaults to ``None`` meaning "not chosen here", so layered
@@ -29,7 +28,6 @@ from repro.pilot import errors as perr
 from repro.pilot.errors import Diagnostic, PilotError
 from repro.pilot.program import PilotCosts
 from repro.pilot.services import parse_service_letters
-from repro.vmpi.engine import SCHEDULERS
 
 # Manifest-recorded fields that resume_pilot refuses to silently
 # replace; list them in ``allow_overrides`` to replace deliberately.
@@ -39,7 +37,6 @@ RESUME_GUARDED_FIELDS = ("watchdog_timeout", "watchdog_action", "recover")
 # costs/network/skews/faults stay None: "no model given", which the
 # journal manifest records by leaving the key out.
 RUNTIME_DEFAULTS: dict[str, Any] = {
-    "scheduler": "threads",
     "check_level": perr.CHECK_API,
     "native_log_path": "pilot_native.log",
     "mpe_log_path": "pilot_mpe.clog2",
@@ -83,7 +80,9 @@ class PilotConfig:
     """
 
     # -- rank scheduling ------------------------------------------------
-    scheduler: str | None = None  # "threads" | "coroutine"
+    # Every rank runs on the coroutine scheduler; "coroutine" is the
+    # only value accepted (see __post_init__).
+    scheduler: str | None = None
     # -- services and checking (-pisvc= / -picheck=) ---------------------
     services: str | None = None  # service letters, e.g. "cdj"
     check_level: int | None = None
@@ -115,6 +114,14 @@ class PilotConfig:
     # ("watchdog_timeout",)).
     allow_overrides: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.scheduler not in (None, "coroutine"):
+            raise PilotError(Diagnostic(
+                "BAD_CONFIG",
+                f"scheduler={self.scheduler!r}: the thread-per-rank backend "
+                "was removed and every rank runs on the coroutine "
+                "scheduler; leave scheduler unset", None, -1))
+
     # -- construction ---------------------------------------------------
 
     @classmethod
@@ -132,8 +139,7 @@ class PilotConfig:
         accumulate), ``-picheck=<0..3>`` the error-check level,
         ``-pifault-plan=PATH`` a JSON fault plan, ``-pijournal=DIR``
         the journal, ``-piwatchdog=T[:abort|checkpoint]`` the progress
-        watchdog, ``-pirecover=msglog|off`` in-run recovery,
-        ``-pischeduler=threads|coroutine`` the rank backend and
+        watchdog, ``-pirecover=msglog|off`` in-run recovery and
         ``-pistream-port=N`` (with ``-pisvc=v``) the streaming port.
         """
         updates: dict[str, Any] = {}
@@ -176,12 +182,6 @@ class PilotConfig:
                     raise _bad_option(
                         f"-pirecover must be 'msglog' or 'off', got {value!r}")
                 updates["recover"] = None if value == "off" else value
-            elif flag == "-pischeduler":
-                if value not in SCHEDULERS:
-                    raise _bad_option(
-                        f"-pischeduler must be one of {'/'.join(SCHEDULERS)}, "
-                        f"got {value!r}")
-                updates["scheduler"] = value
             elif flag == "-pistream-port":
                 try:
                     stream_port = int(value)
@@ -214,7 +214,7 @@ class PilotConfig:
                  base: "PilotConfig | None" = None) -> "PilotConfig":
         """Read ``REPRO_PI_*`` environment variables into a config.
 
-        Recognised: ``REPRO_PI_SCHEDULER``, ``REPRO_PI_SVC``,
+        Recognised: ``REPRO_PI_SVC``,
         ``REPRO_PI_CHECK``, ``REPRO_PI_FAULT_PLAN``,
         ``REPRO_PI_JOURNAL``, ``REPRO_PI_WATCHDOG`` (``T[:action]``),
         ``REPRO_PI_RECOVER`` and ``REPRO_PI_STREAM_PORT`` (used when
@@ -232,7 +232,6 @@ class PilotConfig:
                           ("REPRO_PI_JOURNAL", "-pijournal"),
                           ("REPRO_PI_WATCHDOG", "-piwatchdog"),
                           ("REPRO_PI_RECOVER", "-pirecover"),
-                          ("REPRO_PI_SCHEDULER", "-pischeduler"),
                           ("REPRO_PI_STREAM_PORT", "-pistream-port")):
             value = environ.get(var)
             if value:
@@ -310,8 +309,6 @@ class PilotConfig:
             argv.append(f"-piwatchdog={spec}")
         if self.recover is not None:
             argv.append(f"-pirecover={self.recover}")
-        if self.scheduler is not None:
-            argv.append(f"-pischeduler={self.scheduler}")
         if self.stream:
             if "v" not in (self.services or ""):
                 argv.append("-pisvc=v")
@@ -326,9 +323,6 @@ class PilotConfig:
         def bad(message: str) -> PilotError:
             return PilotError(Diagnostic("BAD_CONFIG", message, None, -1))
 
-        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
-            raise bad(f"scheduler must be one of {'/'.join(SCHEDULERS)}, "
-                      f"got {self.scheduler!r}")
         if self.services is not None:
             parse_service_letters(self.services)  # raises on unknown letters
         if self.check_level is not None and not (

@@ -118,8 +118,8 @@ class HookSet:
     def __getattr__(self, name: str):
         if not name.startswith("on_"):
             raise AttributeError(name)
-        # A partial over a named method (not a closure): the coroutine
-        # scheduler's call rewriter unwraps partials and weaves
+        # A partial over a named method: the call rewriter
+        # (repro.vmpi.weave) unwraps partials and weaves
         # _dispatch, so hook methods that charge virtual time (e.g. the
         # jumpshot logger's MPE buffering cost) may block.
         return functools.partial(self._dispatch, name)

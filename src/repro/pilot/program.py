@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -59,7 +58,7 @@ class PilotCosts:
 
 @dataclass
 class RankState:
-    """Per-rank mutable state (each rank thread owns exactly one)."""
+    """Per-rank mutable state (each rank task owns exactly one)."""
 
     rank: int
     phase: Phase = Phase.PRE
@@ -93,9 +92,6 @@ class PilotRun:
         self.bundles: list[PI_BUNDLE] = []
         self.custom_states: list = []  # PI_DefineState handles, in order
         self._bundled_channels: set[int] = set()
-        # Config tables touched by many rank bodies; a no-op on the
-        # single-threaded coroutine scheduler.
-        self._lock = self.engine.make_lock()
         self.app_argv: list[str] = []
         self.exec_ended: dict[int, float] = {}
         self.finished_at: float | None = None
@@ -178,19 +174,18 @@ class PilotRun:
         state = self.rank_state()
         cursor = offset + state.creation_cursor.get(kind, 0)
         state.creation_cursor[kind] = cursor + 1 - offset
-        with self._lock:
-            if cursor < len(table):
-                existing = table[cursor]
-                if not match(existing):
-                    self.fail(
-                        "CONFIG_MISMATCH",
-                        f"rank {state.rank} executed a different configuration: "
-                        f"{kind} #{cursor} does not match the one created first "
-                        f"({existing!r})", callsite)
-                return existing
-            obj = build()
-            table.append(obj)
-            return obj
+        if cursor < len(table):
+            existing = table[cursor]
+            if not match(existing):
+                self.fail(
+                    "CONFIG_MISMATCH",
+                    f"rank {state.rank} executed a different configuration: "
+                    f"{kind} #{cursor} does not match the one created first "
+                    f"({existing!r})", callsite)
+            return existing
+        obj = build()
+        table.append(obj)
+        return obj
 
     def resolve_endpoint(self, endpoint: Any, callsite: CallSite) -> PI_PROCESS:
         if isinstance(endpoint, _MainHandle) or endpoint is PI_MAIN:
@@ -214,18 +209,19 @@ class PilotRun:
 
 
 # ---------------------------------------------------------------------------
-# Thread-local access for the module-level PI_* API
+# The ambient run the module-level PI_* API reads
 # ---------------------------------------------------------------------------
 
-_tls = threading.local()
+_current: PilotRun | None = None
 
 
 def set_current_run(run: PilotRun | None) -> None:
-    _tls.run = run
+    global _current
+    _current = run
 
 
 def current_run() -> PilotRun:
-    run = getattr(_tls, "run", None)
+    run = _current
     if run is None:
         raise PilotError(Diagnostic(
             "NO_PROGRAM", "Pilot API called outside a running Pilot program "
@@ -239,11 +235,10 @@ _CALLSITE_PREFIXES: tuple[str, ...] = ()
 def pilot_callsite() -> CallSite:
     """Call site in *user* code (library frames skipped).
 
-    The vmpi package is in the skip set because on the coroutine
-    scheduler the weave dispatcher (repro.vmpi.weave) interposes a frame
-    between every caller and callee; woven user code keeps its original
-    filename, so the walk still lands on the user frame both backends
-    report.
+    The vmpi package is in the skip set because the weave dispatcher
+    (repro.vmpi.weave) interposes a frame between every caller and
+    callee; woven user code keeps its original filename and line
+    numbers, so the walk still lands on the user frame.
     """
     global _CALLSITE_PREFIXES
     if not _CALLSITE_PREFIXES:

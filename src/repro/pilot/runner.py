@@ -157,8 +157,7 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
     world = World(nprocs, network=cfg.network, seed=cfg.seed,
                   clock_resolution=cfg.clock_resolution,
                   skews=dict(cfg.skews) if cfg.skews is not None else None,
-                  faults=faults, suppress_crashes=suppress_crashes,
-                  scheduler=cfg.scheduler)
+                  faults=faults, suppress_crashes=suppress_crashes)
 
     if journal is None and cfg.journal_dir is not None:
         manifest = manifest_for_engine(world.engine, nprocs=nprocs, extra={
@@ -252,8 +251,8 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
 
     def rank_body(comm) -> Any:
         # (Re)bind the ambient run at every rank entry; never clear it
-        # per rank.  On the coroutine scheduler all ranks share one OS
-        # thread, so a finishing rank's ``finally`` would wipe the
+        # per rank.  All ranks share one OS thread, so a finishing
+        # rank's ``finally`` would wipe the
         # binding out from under the still-running ranks; the single
         # clear below runs once after the whole world is done.
         set_current_run(run)
@@ -335,11 +334,10 @@ def run_pilot(main: Callable[[list[str]], Any], nprocs: int,
     """Run ``main(argv)`` on ``nprocs`` virtual ranks under Pilot.
 
     ``config`` describes the run — services, check level, log paths,
-    watchdog, recovery, journal, fault plan, network/cost models, seed,
-    clock model and the rank scheduler::
+    watchdog, recovery, journal, fault plan, network/cost models, seed
+    and clock model::
 
-        run_pilot(main, 8, config=PilotConfig(services="cdj",
-                                              scheduler="coroutine"))
+        run_pilot(main, 8, config=PilotConfig(services="cdj"))
 
     ``argv`` is the program's own arguments.  A ``-pi*`` flag there is
     a ``BAD_CONFIG`` error: parse command lines with
@@ -403,7 +401,7 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
     ``main`` must be the same program the journal recorded (the
     manifest cannot re-create code); likewise pass the same
     ``mpe_options`` if the recorded run used non-default ones.  From
-    ``config`` the resume takes the scheduler, cost and network models
+    ``config`` the resume takes the cost and network models
     (when given) and the guarded robustness fields.
 
     Watchdog and recovery settings are replay-critical, so an explicit
@@ -464,7 +462,6 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
         costs = PilotCosts(**manifest["costs"])
     # journal_dir stays unset: the replay journal is attached directly.
     run_cfg = PilotConfig(
-        scheduler=cfg.scheduler,
         services=pilot_meta.get("services", ""),
         check_level=pilot_meta.get("check_level"),
         native_log_path=pilot_meta.get("native_log_path"),

@@ -15,7 +15,6 @@ expressions like ``chans[f"to{i}"]``.
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Any, Callable
@@ -117,7 +116,6 @@ class CaptureRun:
         self.bundles: list[PI_BUNDLE] = []
         self.custom_states: list = []
         self._bundled_channels: set[int] = set()
-        self._lock = threading.Lock()
         self.app_argv: list[str] = []
         self.exec_ended: dict[int, float] = {}
         self.finished_at = None

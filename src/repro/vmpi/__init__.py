@@ -1,7 +1,7 @@
 """``repro.vmpi`` — deterministic virtual-time MPI substrate.
 
 The paper's system runs over OpenMPI on a teaching cluster; this package
-is the repo's substitution for it (DESIGN.md Section 2): thread-backed
+is the repo's substitution for it (DESIGN.md Section 2): generator
 ranks under a discrete-event scheduler, an alpha–beta network model,
 skewable per-rank clocks, and mpi4py-flavoured point-to-point and
 collective operations.
@@ -31,13 +31,10 @@ from repro.vmpi.comm import (
     Request,
 )
 from repro.vmpi.engine import (
-    SCHEDULERS,
-    CoroTask,
     Engine,
     Resource,
     RunResult,
     Task,
-    ThreadTask,
 )
 from repro.vmpi.errors import (
     AbortedError,
@@ -83,7 +80,6 @@ __all__ = [
     "ClockFault",
     "ClockSkew",
     "Communicator",
-    "CoroTask",
     "CorruptedPayload",
     "CrashFault",
     "Engine",
@@ -105,12 +101,10 @@ __all__ = [
     "Request",
     "Resource",
     "RunResult",
-    "SCHEDULERS",
     "SimulationDeadlock",
     "Status",
     "Task",
     "TaskFailed",
-    "ThreadTask",
     "VmpiError",
     "WATCHDOG_ABORT",
     "WATCHDOG_CHECKPOINT",

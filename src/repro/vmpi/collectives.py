@@ -2,7 +2,7 @@
 
 These are classic SPMD algorithms (binomial trees, dissemination
 barrier) written against :class:`repro.vmpi.comm.Communicator`.  Every
-rank executes the same function from its own task thread; correctness
+rank executes the same function as its own task; correctness
 falls out exactly as it does in real MPI.
 
 Pilot's *own* collectives (PI_Broadcast and friends) are deliberately

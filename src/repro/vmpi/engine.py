@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine with two task backends.
+"""Deterministic discrete-event engine: every rank is a generator.
 
 This is the foundation the whole reproduction stands on.  The paper's
 system runs on a real cluster under OpenMPI; this repo substitutes a
@@ -19,21 +19,15 @@ requirements that drove this design:
   run from the paper's evaluation executes in milliseconds of wall time,
   and speedup shapes survive running on a single core.
 
-The scheduler runs in the caller's thread (:meth:`Engine.run`).  Two
-interchangeable task backends implement the suspend/resume protocol
-(``Engine(scheduler=...)``; see docs/ARCHITECTURE.md):
-
-* ``"threads"`` — one OS thread per rank (:class:`ThreadTask`); blocking
-  calls park the thread via the monitor handoff in
-  :meth:`ThreadTask._switch_to` / :meth:`Engine._yield_current`.  The
-  historical backend; caps worlds at a few hundred ranks.
-* ``"coroutine"`` — every rank is a generator (:class:`CoroTask`)
-  resumed by a single-threaded trampoline; rank code is rewritten at
-  runtime by :mod:`repro.vmpi.weave` so each blocking call becomes a
-  generator suspension.  One process simulates thousands of ranks.
-
-Both backends drive the identical event heap with identical sequence
-numbers, so runs are byte-identical between them.
+The scheduler runs in the caller's thread (:meth:`Engine.run`).  Every
+rank is a generator (:class:`Task`) resumed by that single-threaded
+trampoline; rank code is rewritten at runtime by :mod:`repro.vmpi.weave`
+so each blocking call becomes a generator suspension (see
+docs/ARCHITECTURE.md).  One process simulates thousands of ranks.  The
+synchronous blocking primitives (:meth:`Engine.advance`,
+:meth:`Engine.block`, a contended :meth:`Resource.acquire`) are what
+un-woven code reaches; they raise a loud :class:`EngineError` instead
+of deadlocking.
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ import enum
 import heapq
 import itertools
 import random
-import threading
 from collections import deque
 from typing import Any, Callable
 
@@ -54,19 +47,11 @@ from repro.vmpi.errors import (
     TaskFailed,
 )
 
-# How long (wall seconds) the scheduler is willing to wait for a task
-# thread to respond during a handoff before concluding the harness is
-# wedged.  Generous: this only ever fires on an internal bug.
-_HANDOFF_TIMEOUT = 60.0
-
-#: Valid values for ``Engine(scheduler=...)``.
-SCHEDULERS = ("threads", "coroutine")
-
 
 class TaskKilled(BaseException):
-    """Unwinds a single task thread without touching the world.
+    """Unwinds a single task without touching the world.
 
-    Raised inside a task's own thread when message-logging recovery
+    Raised inside a task when message-logging recovery
     (:mod:`repro.vmpi.msglog`) retires the crashed incarnation of a
     rank.  Deliberately *not* an ``Exception`` so user-level ``except
     Exception`` blocks cannot swallow the teardown, and deliberately
@@ -83,13 +68,14 @@ class TaskState(enum.Enum):
 
 
 class Task:
-    """One simulated rank: scheduling state plus a backend execution body.
+    """One simulated rank: scheduling state plus a generator body.
 
-    User code never constructs these; :meth:`Engine.spawn` does (via
-    :meth:`Engine._make_task`, which picks the backend subclass).  The
-    base class carries everything the rest of the system reads — state,
-    clocks, RNG, ``locals`` — so higher layers (watchdog, journal,
-    msglog, comm) are backend-agnostic.
+    User code never constructs these; :meth:`Engine.spawn` does.  The
+    rank function is driven through :mod:`repro.vmpi.weave`, which
+    rewrites every call on the blocking path into ``yield from``; the
+    engine's blocking primitives suspend by yielding from
+    :meth:`_suspend`, the single bare ``yield`` every suspension funnels
+    through.  :meth:`_switch_to` advances the generator one step.
     """
 
     def __init__(self, engine: "Engine", rank: int, fn: Callable[[], Any], name: str) -> None:
@@ -118,95 +104,6 @@ class Task:
         # Scratch slot for layers above (comm attaches the mailbox, the
         # Pilot runtime attaches per-rank program state).
         self.locals: dict[str, Any] = {}
-
-    def _switch_to(self) -> None:
-        """Scheduler-side: run this task until it yields again."""
-        raise NotImplementedError
-
-    def _suspend(self):
-        """Task-side generator suspension point (coroutine backend only)."""
-        raise EngineError(
-            f"task {self.name}: generator suspension is only valid on the "
-            "coroutine scheduler")
-
-
-class ThreadTask(Task):
-    """Thread-per-rank backend: a real OS thread parks on blocking calls."""
-
-    def __init__(self, engine: "Engine", rank: int, fn: Callable[[], Any], name: str) -> None:
-        super().__init__(engine, rank, fn, name)
-        self.thread = threading.Thread(
-            target=self._body, name=f"vmpi-{name}", daemon=True
-        )
-
-    # ------------------------------------------------------------------
-    # Thread body and handoff protocol.  All state transitions happen
-    # under engine._mon; notify_all wakes whichever side is waiting.
-    # ------------------------------------------------------------------
-
-    def _body(self) -> None:
-        mon = self.engine._mon
-        with mon:
-            while self.state is not TaskState.RUNNING:
-                mon.wait(_HANDOFF_TIMEOUT)
-        try:
-            self.engine._check_abort()
-            self.result = self.fn()
-        except TaskKilled:
-            # Retired by recovery: unwind quietly.  The respawned
-            # incarnation owns the rank from here; in particular we must
-            # not call _abort_locked_free.
-            self.killed = True
-        except AbortedError:
-            self.aborted = True
-        except BaseException as exc:  # noqa: BLE001 - deliberate catch-all
-            self.exc = exc
-            # A crashed rank takes the world down, as mpirun would.
-            self.engine._abort_locked_free(errorcode=1, origin_rank=self.rank,
-                                           reason=f"unhandled exception: {exc!r}")
-        finally:
-            with mon:
-                self.state = TaskState.DONE
-                self.engine._live_tasks -= 1
-                mon.notify_all()
-
-    def _switch_to(self) -> None:
-        """Scheduler-side: run this task until it yields again."""
-        eng = self.engine
-        mon = eng._mon
-        with mon:
-            if self.state is TaskState.DONE:
-                return
-            eng._current = self
-            self.state = TaskState.RUNNING
-            if not self.thread.is_alive():
-                self.thread.start()
-            mon.notify_all()
-            while self.state is TaskState.RUNNING:
-                if not mon.wait(_HANDOFF_TIMEOUT):
-                    raise EngineError(
-                        f"handoff to task {self.name} timed out; "
-                        "a task thread blocked outside the engine"
-                    )
-            eng._current = None
-
-
-class CoroTask(Task):
-    """Coroutine backend: the rank body runs as a generator.
-
-    The rank function is driven through :mod:`repro.vmpi.weave`, which
-    rewrites every call on the blocking path into ``yield from``; the
-    engine's blocking primitives suspend by yielding from
-    :meth:`_suspend`, the single bare ``yield`` every suspension funnels
-    through.  ``_switch_to`` advances the generator one step; its
-    exception handling mirrors :meth:`ThreadTask._body` exactly —
-    including running the world abort *before* retiring a crashed task —
-    so both backends schedule the same wake events in the same heap
-    order.
-    """
-
-    def __init__(self, engine: "Engine", rank: int, fn: Callable[[], Any], name: str) -> None:
-        super().__init__(engine, rank, fn, name)
         self._gen: Any = None
 
     def _main(self):
@@ -246,9 +143,8 @@ class CoroTask(Task):
             except BaseException as exc:  # noqa: BLE001 - deliberate catch-all
                 self.exc = exc
                 # A crashed rank takes the world down, as mpirun would —
-                # before the task retires, matching the thread backend's
-                # except-then-finally ordering so the abort wake loop
-                # sees identical task states.
+                # before the task retires, so the abort wake loop still
+                # sees this task as running.
                 eng._abort_locked_free(errorcode=1, origin_rank=self.rank,
                                        reason=f"unhandled exception: {exc!r}")
                 self._retire()
@@ -260,6 +156,11 @@ class CoroTask(Task):
     def _retire(self) -> None:
         self.state = TaskState.DONE
         self.engine._live_tasks -= 1
+
+
+#: The task class under the name the end-to-end tracer
+#: (e2ebench/tracing.py) imports to wrap :meth:`Task._switch_to`.
+CoroTask = Task
 
 
 class Resource:
@@ -289,7 +190,7 @@ class Resource:
         self.engine.block(f"acquire {self.name}")
 
     def acquire_gen(self):
-        """Generator twin of :meth:`acquire` (coroutine scheduler)."""
+        """Generator twin of :meth:`acquire`: what woven code runs."""
         task = self.engine._require_task()
         if self._available > 0:
             self._available -= 1
@@ -312,7 +213,7 @@ class Resource:
         return self
 
     def enter_gen(self):
-        """Generator twin of :meth:`__enter__` (coroutine scheduler)."""
+        """Generator twin of :meth:`__enter__`: what woven code runs."""
         yield from self.acquire_gen()
         return self
 
@@ -355,27 +256,16 @@ class Engine:
     skews:
         Optional per-rank :class:`ClockSkew`; ranks not listed get a
         perfect clock.  The MPE clock-sync benchmarks populate this.
-    scheduler:
-        Task backend: ``"threads"`` (one OS thread per rank, the compat
-        default) or ``"coroutine"`` (single-threaded generator
-        trampoline; scales to thousands of ranks).  Both backends
-        produce byte-identical histories for the same program and seed.
     """
 
     def __init__(self, *, seed: int = 0, clock_resolution: float = 1e-8,
-                 skews: dict[int, ClockSkew] | None = None,
-                 scheduler: str = "threads") -> None:
-        if scheduler not in SCHEDULERS:
-            raise EngineError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
-        self.scheduler = scheduler
+                 skews: dict[int, ClockSkew] | None = None) -> None:
         self.seed = seed
         self.clock_resolution = clock_resolution
         self._skews = dict(skews or {})
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._mon = threading.Condition()
         self._current: Task | None = None
         self._tasks: dict[int, Task] = {}
         self._live_tasks = 0
@@ -396,7 +286,7 @@ class Engine:
         self.msglog: Any = None
         # Fired exactly once when the world aborts (any cause: MPI_Abort,
         # rank crash, injected crash, deadlock teardown).  Hooks run
-        # before task threads unwind, so crash-tolerant layers (MPE
+        # before the tasks unwind, so crash-tolerant layers (MPE
         # salvage) can flush rank-local state while it is still intact.
         # Hook exceptions are collected, never propagated: a failing
         # flush must not mask the abort itself.
@@ -415,29 +305,10 @@ class Engine:
             raise EngineError("spawn() after run() started is not supported")
         if rank in self._tasks:
             raise EngineError(f"rank {rank} already spawned")
-        task = self._make_task(rank, fn, name or f"rank{rank}")
+        task = Task(self, rank, fn, name or f"rank{rank}")
         self._tasks[rank] = task
         self._live_tasks += 1
         return task
-
-    def _make_task(self, rank: int, fn: Callable[[], Any], name: str) -> Task:
-        """Build a task on this engine's backend (also used by msglog
-        recovery to respawn a crashed rank's fresh incarnation)."""
-        cls = ThreadTask if self.scheduler == "threads" else CoroTask
-        return cls(self, rank, fn, name)
-
-    def make_lock(self):
-        """A mutex appropriate for this backend's task bodies.
-
-        Thread backend: a real lock (rank threads exist concurrently
-        even though only one runs at a time).  Coroutine backend: a
-        no-op context manager — everything runs on one thread, and a
-        real lock held across a suspension would wedge the process.
-        """
-        if self.scheduler == "threads":
-            return threading.Lock()
-        import contextlib
-        return contextlib.nullcontext()
 
     def skew_for(self, rank: int) -> ClockSkew:
         return self._skews.get(rank, ClockSkew())
@@ -461,7 +332,7 @@ class Engine:
             raise EngineError("this operation is only valid from inside a task")
         return task
 
-    # -- event scheduling (any thread/callback may call these) ----------
+    # -- event scheduling (any task or callback may call these) ---------
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
         if t < self._now - 1e-15:
@@ -474,7 +345,7 @@ class Engine:
     # -- task-side blocking primitives -----------------------------------
 
     def _advance_begin(self, dt: float, reason: str) -> Task:
-        """Everything :meth:`advance` does before suspending (both backends)."""
+        """Everything :meth:`advance_gen` does before suspending."""
         if dt < 0:
             raise EngineError(f"advance() needs dt >= 0, got {dt}")
         task = self._require_task()
@@ -504,33 +375,36 @@ class Engine:
         return task
 
     def _block_begin(self, reason: str) -> Task:
-        """Everything :meth:`block` does before suspending (both backends)."""
+        """Everything :meth:`block_gen` does before suspending."""
         task = self._require_task()
         task.state = TaskState.BLOCKED
         task.blocked_reason = reason
         return task
 
     def advance(self, dt: float, reason: str = "compute") -> None:
-        """Let virtual time pass for the calling task (declared compute)."""
-        task = self._advance_begin(dt, reason)
-        self._yield_current(task)
+        """Let virtual time pass for the calling task (declared compute).
+
+        Woven task code reaches :meth:`advance_gen` instead; reaching
+        this synchronous form is an error (see :meth:`_unwoven`).
+        """
+        self._unwoven(self._advance_begin(dt, reason))
 
     def advance_gen(self, dt: float, reason: str = "compute"):
-        """Generator twin of :meth:`advance` (coroutine scheduler)."""
+        """Generator twin of :meth:`advance`: what woven code runs."""
         task = self._advance_begin(dt, reason)
         yield from task._suspend()
 
     def block(self, reason: str) -> Any:
         """Park the calling task until someone calls :meth:`wake` on it.
 
-        Returns the payload passed to ``wake``.
+        Woven task code reaches :meth:`block_gen`, which returns the
+        payload passed to ``wake``; reaching this synchronous form is an
+        error (see :meth:`_unwoven`).
         """
-        task = self._block_begin(reason)
-        self._yield_current(task)
-        return task.wake_payload
+        self._unwoven(self._block_begin(reason))
 
     def block_gen(self, reason: str):
-        """Generator twin of :meth:`block` (coroutine scheduler)."""
+        """Generator twin of :meth:`block`: what woven code runs."""
         task = self._block_begin(reason)
         yield from task._suspend()
         return task.wake_payload
@@ -551,25 +425,20 @@ class Engine:
         self.stats["switches"] += 1
         task._switch_to()
 
-    def _yield_current(self, task: Task) -> None:
-        """Task-side: give control back to the scheduler and wait."""
-        if self.scheduler != "threads":
-            raise EngineError(
-                f"blocking call ({task.blocked_reason!r}) reached the "
-                "engine synchronously on the coroutine scheduler; this "
-                "happens when un-woven code (a lambda body, a "
-                "comprehension that is not the whole value of an "
-                "assignment or return, or a module repro.vmpi.weave "
-                "declines to rewrite) tries to block — move the "
-                "blocking call into a named function or loop")
-        mon = self._mon
-        with mon:
-            mon.notify_all()
-            while task.state is not TaskState.RUNNING:
-                mon.wait(_HANDOFF_TIMEOUT)
-        if task.killed:
-            raise TaskKilled(task.rank)
-        self._check_abort()
+    def _unwoven(self, task: Task) -> None:
+        """A blocking primitive was reached synchronously: fail loudly.
+
+        Only code woven by :mod:`repro.vmpi.weave` can suspend a task;
+        anything else that blocks would otherwise wedge the scheduler.
+        """
+        raise EngineError(
+            f"blocking call ({task.blocked_reason!r}) reached the engine "
+            "synchronously; this happens when un-woven code (a "
+            "comprehension or generator expression that is not the whole "
+            "value of an assignment or return, a callback run by C code "
+            "such as sum() or map(), or a module repro.vmpi.weave "
+            "declines to rewrite) tries to block — move the blocking call "
+            "into a loop or an assignment")
 
     # -- abort ------------------------------------------------------------
 
@@ -598,7 +467,7 @@ class Engine:
                                       self._now)
             except BaseException as exc:  # noqa: BLE001 - must not mask abort
                 self.abort_hook_errors.append(exc)
-        # Wake every parked task so its thread can unwind.
+        # Wake every parked task so it can unwind.
         for t in self._tasks.values():
             if t.state in (TaskState.BLOCKED, TaskState.READY):
                 self.call_later(0.0, lambda t=t: self._resume(t, None))
@@ -653,14 +522,12 @@ class Engine:
                         for r, t in self._tasks.items()
                         if t.state is not TaskState.DONE
                     }
-                    # Unstick and drain the parked threads before raising
-                    # so engines do not leak threads across tests.
+                    # Unstick and unwind the parked tasks before raising.
                     self._abort_locked_free(errorcode=2, origin_rank=-1,
                                             reason="simulation deadlock")
-                    self._drain_threads()
-                    raise SimulationDeadlock(blocked, details, self._now,
-                                             scheduler=self.scheduler)
-            self._drain_threads()
+                    self._drain()
+                    raise SimulationDeadlock(blocked, details, self._now)
+            self._drain()
         finally:
             self._running = False
         failures = [t for t in sorted(self._tasks.values(), key=lambda t: t.rank) if t.exc]
@@ -670,28 +537,18 @@ class Engine:
         results = {r: t.result for r, t in self._tasks.items()}
         return RunResult(self._now, self._aborted, results)
 
-    def _drain_threads(self) -> None:
-        """After abort/finish, drain the heap and wind every task down.
-
-        On the coroutine backend draining the heap *is* the wind-down
-        (resume events advance each generator to its terminal state);
-        only the thread backend has OS threads left to join.
-        """
+    def _drain(self) -> None:
+        """After abort/finish, drain the heap: the resume events advance
+        each task's generator to its terminal state."""
         while self._heap:
             t, _, fn = heapq.heappop(self._heap)
             self._now = max(self._now, t)
             fn()
-        for task in self._tasks.values():
-            if isinstance(task, ThreadTask) and task.thread.is_alive():
-                task.thread.join(_HANDOFF_TIMEOUT)
-                if task.thread.is_alive():  # pragma: no cover - internal bug
-                    raise EngineError(f"task {task.name} failed to wind down")
 
     # -- restart ----------------------------------------------------------
 
     @classmethod
-    def resume(cls, journal_dir: str, *, perf: Any = None,
-               scheduler: str = "threads") -> "Engine":
+    def resume(cls, journal_dir: str, *, perf: Any = None) -> "Engine":
         """Rebuild an engine from a journal directory, armed for replay.
 
         The manifest restores seed, clock resolution and per-rank skews;
@@ -701,10 +558,6 @@ class Engine:
         replay journal then verifies every delivery, injection and
         checkpoint barrier against the recorded run.  The caller spawns
         the same program and calls :meth:`run` as usual.
-
-        ``scheduler`` picks the task backend for the replay; the
-        manifest does not record one because both backends re-emit the
-        recorded history byte-for-byte.
         """
         from repro.vmpi.faults import plan_from_dict
         from repro.vmpi.journal import Journal
@@ -717,7 +570,7 @@ class Engine:
         engine = cls(seed=int(manifest.get("seed", 0)),
                      clock_resolution=float(
                          manifest.get("clock_resolution", 1e-8)),
-                     skews=skews, scheduler=scheduler)
+                     skews=skews)
         plan_data = manifest.get("fault_plan")
         if plan_data is not None:
             plan_from_dict(plan_data).install(engine, suppress_crashes=True)
@@ -739,8 +592,8 @@ class Engine:
         return task.clock.read(self._now)
 
 
-# Generator twins for the blocking primitives, dispatched by the
-# coroutine scheduler's call rewriter (see repro.vmpi.weave).
+# Generator twins for the blocking primitives, dispatched by the call
+# rewriter (see repro.vmpi.weave).
 from repro.vmpi import weave as _weave  # noqa: E402 - needs classes above
 
 _weave.register_twin(Engine.advance, Engine.advance_gen)

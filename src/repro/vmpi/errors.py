@@ -24,16 +24,10 @@ class SimulationDeadlock(VmpiError):
 
     def __init__(self, blocked: dict[int, str],
                  details: dict[int, tuple[str, str]] | None = None,
-                 now: float = 0.0, scheduler: str = "threads") -> None:
+                 now: float = 0.0) -> None:
         self.blocked = dict(blocked)
         self.details = dict(details or {})
         self.now = now
-        # Which task backend produced the diagnosis.  Both backends
-        # report identical blocked/details maps (states READY/BLOCKED
-        # with the same blocking reasons), so the message — and the
-        # pilotcheck PC003 cross-links match_deadlock derives from
-        # ``blocked`` — is byte-identical across schedulers.
-        self.scheduler = scheduler
         lines = [f"simulation stalled at t={now:.6f}s with "
                  f"{len(blocked)} blocked task(s) and no pending events:"]
         for r, why in sorted(blocked.items()):

@@ -270,20 +270,19 @@ class MessageLogger:
         rank = old.rank
         crash_time = engine.now
         started = time.perf_counter()
-        # 1. Retire the crashed incarnation.  Its thread unwinds with
+        # 1. Retire the crashed incarnation.  It unwinds with
         # TaskKilled; any heap events still targeting it no-op on DONE.
         old.killed = True
         if old.state is TaskState.NEW:
-            # Thread never started; retire it by hand.
+            # Never started; retire it by hand.
             old.state = TaskState.DONE
             engine._live_tasks -= 1
         else:
             engine.stats["switches"] += 1
             old._switch_to()
         # 2. Respawn the rank's program as a fresh incarnation (same
-        # fn, so same deterministic clock/RNG streams) on the engine's
-        # task backend.
-        new = engine._make_task(rank, old.fn, old.name)
+        # fn, so same deterministic clock/RNG streams).
+        new = Task(engine, rank, old.fn, old.name)
         engine._tasks[rank] = new
         engine._live_tasks += 1
         new.last_active = crash_time  # keep the watchdog calm

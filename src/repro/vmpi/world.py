@@ -29,14 +29,13 @@ class World:
                  skews: dict[int, ClockSkew] | None = None,
                  faults: "FaultPlan | None" = None,
                  suppress_crashes: bool = False,
-                 journal: "Journal | None" = None,
-                 scheduler: str = "threads") -> None:
+                 journal: "Journal | None" = None) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         merged_skews = dict(faults.skews()) if faults is not None else {}
         merged_skews.update(skews or {})  # explicit skews win
         self.engine = Engine(seed=seed, clock_resolution=clock_resolution,
-                             skews=merged_skews, scheduler=scheduler)
+                             skews=merged_skews)
         self.comm = Communicator(self.engine, nprocs, network)
         if faults is not None:
             faults.install(self.engine, suppress_crashes=suppress_crashes)
@@ -46,9 +45,6 @@ class World:
     def run(self, main: Callable[..., Any], *args: Any) -> RunResult:
         """Spawn ``main(comm, *args)`` on every rank and run to the end."""
         for rank in range(self.comm.size):
-            # functools.partial rather than a lambda: the coroutine
-            # scheduler's call rewriter unwraps partials, but never
-            # looks inside a lambda body.
             self.engine.spawn(functools.partial(main, self.comm, *args), rank)
         result = self.engine.run()
         result.engine = self.engine  # type: ignore[attr-defined]
@@ -60,12 +56,11 @@ def mpirun(main: Callable[..., Any], nprocs: int, *args: Any,
            network: NetworkModel | None = None, seed: int = 0,
            clock_resolution: float = 1e-8,
            skews: dict[int, ClockSkew] | None = None,
-           faults: "FaultPlan | None" = None,
-           scheduler: str = "threads") -> RunResult:
+           faults: "FaultPlan | None" = None) -> RunResult:
     """One-shot launch; see :class:`World`."""
     world = World(nprocs, network=network, seed=seed,
                   clock_resolution=clock_resolution, skews=skews,
-                  faults=faults, scheduler=scheduler)
+                  faults=faults)
     return world.run(main, *args)
 
 

@@ -40,10 +40,11 @@ def fanout_program(usage, main_body, worker_body, *, nprocs=NW + 1, argv=()):
 
         PI_Configure(argv_inner)
         procs = [PI_CreateProcess(work, i) for i in range(NW)]
-        if usage in (BundleUsage.BROADCAST, BundleUsage.SCATTER):
-            chans.extend(PI_CreateChannel(PI_MAIN, p) for p in procs)
-        else:
-            chans.extend(PI_CreateChannel(p, PI_MAIN) for p in procs)
+        for p in procs:
+            if usage in (BundleUsage.BROADCAST, BundleUsage.SCATTER):
+                chans.append(PI_CreateChannel(PI_MAIN, p))
+            else:
+                chans.append(PI_CreateChannel(p, PI_MAIN))
         bundle = PI_CreateBundle(usage, chans)
         PI_StartAll()
         result["main"] = main_body(bundle, chans)

@@ -26,9 +26,12 @@ class TestCopyChannels:
     def test_copies_have_same_endpoints_new_ids(self):
         seen = {}
 
+        def work(i, _a):
+            return 0
+
         def main(argv):
             PI_Configure(argv)
-            procs = [PI_CreateProcess(lambda i, a: 0, i) for i in range(2)]
+            procs = [PI_CreateProcess(work, i) for i in range(2)]
             originals = [PI_CreateChannel(p, PI_MAIN) for p in procs]
             copies = PI_CopyChannels(originals)
             seen["pairs"] = [(o.cid, c.cid, o.writer.rank == c.writer.rank,
@@ -58,7 +61,8 @@ class TestCopyChannels:
 
             PI_Configure(argv)
             procs = [PI_CreateProcess(work, i) for i in range(3)]
-            chans.extend(PI_CreateChannel(p, PI_MAIN) for p in procs)
+            for p in procs:
+                chans.append(PI_CreateChannel(p, PI_MAIN))
             copies = PI_CopyChannels(chans)
             selector = PI_CreateBundle(BundleUsage.SELECT, chans)
             gatherer = PI_CreateBundle(BundleUsage.GATHER, copies)

@@ -31,14 +31,13 @@ class TestRoundTrips:
     def test_from_argv_strips_flags_and_layers(self):
         cfg, leftover = PilotConfig.from_argv(
             ["prog", "-pisvc=dj", "-picheck=2", "-piwatchdog=5:checkpoint",
-             "-pirecover=msglog", "-pischeduler=coroutine", "app-arg"])
+             "-pirecover=msglog", "app-arg"])
         assert leftover == ["prog", "app-arg"]
         assert cfg.services == "dj"
         assert cfg.check_level == 2
         assert cfg.watchdog_timeout == 5.0
         assert cfg.watchdog_action == "checkpoint"
         assert cfg.recover == "msglog"
-        assert cfg.scheduler == "coroutine"
 
     def test_bare_watchdog_leaves_action_unset(self):
         # -piwatchdog=5 must not pin watchdog_action: an explicit
@@ -48,7 +47,7 @@ class TestRoundTrips:
         assert cfg.watchdog_action is None
 
     def test_to_argv_from_argv_round_trip(self):
-        cfg = PilotConfig(services="cj", check_level=3, scheduler="threads",
+        cfg = PilotConfig(services="cj", check_level=3,
                           watchdog_timeout=2.5, watchdog_action="checkpoint",
                           recover="msglog", journal_dir="/tmp/j",
                           fault_plan_path="/tmp/plan.json")
@@ -65,11 +64,9 @@ class TestRoundTrips:
 
     def test_from_env(self):
         cfg = PilotConfig.from_env({"REPRO_PI_SVC": "d",
-                                    "REPRO_PI_SCHEDULER": "coroutine",
                                     "REPRO_PI_WATCHDOG": "3:abort",
                                     "UNRELATED": "x"})
         assert cfg.services == "d"
-        assert cfg.scheduler == "coroutine"
         assert cfg.watchdog_timeout == 3.0
         assert cfg.watchdog_action == "abort"
 
@@ -140,6 +137,11 @@ class TestValidation:
     def test_bad_field_raises(self, bad):
         with pytest.raises(PilotError, match="BAD_CONFIG|BAD_OPTION"):
             PilotConfig(**bad).validate()
+
+    def test_removed_thread_backend_is_named(self):
+        with pytest.raises(PilotError, match="BAD_CONFIG.*thread-per-rank "
+                                             "backend was removed"):
+            PilotConfig(scheduler="threads")
 
     def test_valid_config_returns_self(self):
         cfg = PilotConfig(services="cdjs", scheduler="coroutine",

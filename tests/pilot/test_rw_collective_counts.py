@@ -37,7 +37,8 @@ def gather_program(fmt_leaf, leaf_values, fmt_root, root_args=()):
 
         PI_Configure(argv)
         procs = [PI_CreateProcess(work, i) for i in range(NW)]
-        chans.extend(PI_CreateChannel(p, PI_MAIN) for p in procs)
+        for p in procs:
+            chans.append(PI_CreateChannel(p, PI_MAIN))
         b = PI_CreateBundle(BundleUsage.GATHER, chans)
         PI_StartAll()
         out["data"] = PI_Gather(b, fmt_root, *root_args)
@@ -77,7 +78,8 @@ class TestReduceRuntimeCounts:
 
             PI_Configure(argv)
             procs = [PI_CreateProcess(work, i) for i in range(NW)]
-            chans.extend(PI_CreateChannel(p, PI_MAIN) for p in procs)
+            for p in procs:
+                chans.append(PI_CreateChannel(p, PI_MAIN))
             b = PI_CreateBundle(BundleUsage.REDUCE, chans)
             PI_StartAll()
             out["sum"] = list(PI_Reduce(b, "%+*ld", 3))

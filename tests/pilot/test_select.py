@@ -37,7 +37,8 @@ def select_program(main_body, worker_body, argv=()):
 
         PI_Configure(argv_inner)
         procs = [PI_CreateProcess(work, i) for i in range(NW)]
-        chans.extend(PI_CreateChannel(p, PI_MAIN) for p in procs)
+        for p in procs:
+            chans.append(PI_CreateChannel(p, PI_MAIN))
         bundle = PI_CreateBundle(BundleUsage.SELECT, chans)
         PI_StartAll()
         out["main"] = main_body(bundle, chans)

@@ -205,16 +205,6 @@ class TestStallAndDeadlock:
         eng.on_stall.append(lambda e: e.wake(e.tasks[0], "rescued"))
         eng.run()
 
-    def test_threads_drained_after_deadlock(self):
-        import threading
-        before = threading.active_count()
-        eng = Engine()
-        for r in range(3):
-            eng.spawn(lambda: eng.block("stuck"), rank=r)
-        with pytest.raises(SimulationDeadlock):
-            eng.run()
-        assert threading.active_count() <= before + 1
-
 
 class TestAbortAndFailure:
     def test_abort_unwinds_all_tasks(self):
