@@ -16,9 +16,7 @@ from repro.mpe.clog2 import (
     Clog2ReadResult,
     Clog2FormatError,
     Clog2Writer,
-    iter_clog2,
     read_log,
-    read_one_item,
     write_clog2,
 )
 from repro.mpe.fsck import FsckIssue, FsckReport, fsck_path
@@ -69,10 +67,8 @@ __all__ = [
     "SyncPoint",
     "definition_key",
     "fsck_path",
-    "iter_clog2",
     "merge_partial_logs",
     "read_log",
-    "read_one_item",
     "read_partial_log",
     "sync_clocks",
     "write_clog2",

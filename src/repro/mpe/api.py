@@ -30,6 +30,7 @@ from repro.mpe.records import (
     RankName,
     StateDef,
 )
+from repro.perf import stage
 from repro.vmpi import collectives
 from repro.vmpi.comm import Communicator
 from repro.vmpi.engine import Task
@@ -205,15 +206,12 @@ class MpeLogger:
                       + self.options.per_rank_merge_cost * len(gathered))
         if merge_cost > 0:
             self.comm.engine.advance(merge_cost, "mpe merge")
-        if perf is not None:
-            with perf.stage("merge"):
-                streams = self._correct_gathered(gathered)
-            with perf.stage("clog2-write"):
-                self._write_merged(path, definitions, streams, perf=perf)
-            perf.count("merge", records=nrecords)
-        else:
+        with stage(perf, "merge"):
             streams = self._correct_gathered(gathered)
-            self._write_merged(path, definitions, streams)
+        with stage(perf, "clog2-write"):
+            self._write_merged(path, definitions, streams, perf=perf)
+        if perf is not None:
+            perf.count("merge", records=nrecords)
         return MergeReport(path, nrecords, len(gathered),
                            started, self.comm.engine.now)
 

@@ -33,36 +33,32 @@ byte   kind        payload
 
 Strings are u16 length-prefixed UTF-8.  All integers little-endian.
 
-The I/O layer is the pipeline's hot path, so it is streaming and
-batched:
+Writing is batched: every ``struct`` format is precompiled at import
+time, the type byte is fused into the record pack (one C call per
+record), and :func:`write_items` / :class:`Clog2Writer` flush in
+~256 KiB slabs; :class:`Clog2Writer` streams records to disk without
+ever holding the whole log (the header's record count is patched on
+close).  Byte-for-byte output compatibility with the original eager
+writer is a contract (see ``benchmarks/_legacy.py`` and the
+equivalence tests).
 
-* every ``struct`` format is precompiled at import time, and the type
-  byte is fused into the record pack (one C call per record instead of
-  two-to-four Python-level writes);
-* :func:`write_items` packs into an in-memory batch and flushes in
-  ~256 KiB slabs; :class:`Clog2Writer` streams records to disk without
-  ever holding the whole log (the header's record count is patched on
-  close);
-* :func:`iter_items` / :func:`iter_clog2` parse out of a refillable
-  chunk buffer with ``unpack_from`` — a log never needs to be fully
-  resident to read it either.
-
-Byte-for-byte output compatibility with the original eager writer is a
-contract (see ``benchmarks/_legacy.py`` and the equivalence tests).
-
-The one reader entry point is :func:`read_log` with
-``errors="strict"`` (raise on damage) or ``errors="salvage"``
-(skip torn spans, account them in a RecoveryReport); it always returns
-a :class:`Clog2ReadResult` ``(log, recovery)`` pair.
+Reading has one decoder: :func:`_scan` decodes items until the first
+one that does not parse whole, the version-2 block walker and the
+append-partial chunk walker (:mod:`repro.mpe.salvage`) wrap it, and
+every reader meets damage at a byte offset.  The one reader entry
+point is :func:`read_log` with ``errors="strict"`` (raise
+:class:`Clog2FormatError` at the offset) or ``errors="salvage"``
+(resync past torn spans and account them in a RecoveryReport); it
+always returns a :class:`Clog2ReadResult` ``(log, recovery)`` pair.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.mpe.records import (
     BareEvent,
@@ -73,6 +69,7 @@ from repro.mpe.records import (
     RankName,
     StateDef,
 )
+from repro.perf import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpe.recovery import RecoveryReport
@@ -93,27 +90,20 @@ _T_RANKNAME = 0x05
 _HDR = struct.Struct("<8sHdiI")
 #: Version-2 block frame: payload length u32, crc32-of-payload u32.
 _BLOCK = struct.Struct("<II")
-_STATEDEF = struct.Struct("<ii")
-_EVENTDEF = struct.Struct("<i")
-_BARE = struct.Struct("<dii")
-_MSG = struct.Struct("<diBiiq")
 _U16 = struct.Struct("<H")
 
 # Fused type-byte + payload formats ("<" means no padding, so packing
 # the type byte together with the fields yields exactly the same bytes
 # as writing them separately — the equivalence tests hold us to it).
-_BARE_FULL = struct.Struct("<Bdii")
 _MSG_FULL = struct.Struct("<BdiBiiq")
 _STATEDEF_FULL = struct.Struct("<Bii")
 _IDONLY_FULL = struct.Struct("<Bi")  # EventDef / RankName heads
 # BareEvent head with the text's u16 length prefix fused in as well:
-# one pack call covers everything but the text bytes themselves.
+# one pack (or unpack) call covers everything but the text bytes.
 _BARE_FULL_U16 = struct.Struct("<BdiiH")
 
 #: Flush threshold for the batched writer (bytes of packed parts).
 _WRITE_BATCH = 256 * 1024
-#: Refill chunk size for the streaming reader.
-_READ_CHUNK = 1 << 20
 
 
 class Clog2FormatError(ValueError):
@@ -145,31 +135,11 @@ class _BlockWriter:
         return len(data)
 
 
-def _pack_str(out: io.BufferedIOBase, s: str) -> None:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise Clog2FormatError(f"string too long for CLOG2 ({len(raw)} bytes)")
-    out.write(_U16.pack(len(raw)))
-    out.write(raw)
-
-
 def _str_bytes(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise Clog2FormatError(f"string too long for CLOG2 ({len(raw)} bytes)")
     return _U16.pack(len(raw)) + raw
-
-
-def _unpack_str(buf: io.BufferedIOBase) -> str:
-    (n,) = _U16.unpack(_read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
-
-
-def _read_exact(buf: io.BufferedIOBase, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise Clog2FormatError("truncated CLOG2 file")
-    return data
 
 
 @dataclass
@@ -287,8 +257,7 @@ class Clog2Writer:
 
         with Clog2Writer(path, resolution, num_ranks) as w:
             w.write_definitions(defs)
-            for rec in stream:
-                w.write_record(rec)
+            w.write_retimed_records(merge_rank_streams(streams))
     """
 
     def __init__(self, path: str, clock_resolution: float, num_ranks: int, *,
@@ -307,12 +276,6 @@ class Clog2Writer:
         self._parts: list[bytes] = []
         self._pending = 0
 
-    def _push(self, piece: bytes) -> None:
-        self._parts.append(piece)
-        self._pending += len(piece)
-        if self._pending >= _WRITE_BATCH:
-            self._flush()
-
     def _flush(self) -> None:
         if self._parts:
             self._fh.write(b"".join(self._parts))
@@ -320,28 +283,13 @@ class Clog2Writer:
             self._parts.clear()
             self._pending = 0
 
-    def write_definition(self, d: Definition) -> None:
-        self._push(_pack_definition(d))
-
     def write_definitions(self, definitions: Iterable[Definition]) -> None:
         for d in definitions:
-            self._push(_pack_definition(d))
-
-    def write_record(self, r: LogRecord) -> None:
-        if type(r) is MsgEvent:
-            piece = _MSG_FULL.pack(_T_MSG, r.timestamp, r.rank, r.kind,
-                                   r.other_rank, r.tag, r.size)
-        elif type(r) is BareEvent:
-            piece = (_BARE_FULL.pack(_T_BARE, r.timestamp, r.rank, r.event_id)
-                     + _str_bytes(r.text))
-        else:
-            raise Clog2FormatError(f"unknown record {r!r}")
-        self._push(piece)
-        self.records_written += 1
-
-    def write_records(self, records: Iterable[LogRecord]) -> None:
-        for r in records:
-            self.write_record(r)
+            piece = _pack_definition(d)
+            self._parts.append(piece)
+            self._pending += len(piece)
+            if self._pending >= _WRITE_BATCH:
+                self._flush()
 
     def write_retimed_records(
             self, items: "Iterable[tuple[float, int, LogRecord]]") -> None:
@@ -434,125 +382,28 @@ def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,
     module docstring); the default stays version 1 so existing logs and
     golden hashes are bit-stable.
     """
-    if perf is not None:
-        with perf.stage("clog2-write"):
-            with open(path, "wb") as fh:
-                write_clog2_to(fh, log, checksum=checksum, perf=perf)
-    else:
-        with open(path, "wb") as fh:
-            write_clog2_to(fh, log, checksum=checksum)
+    with stage(perf, "clog2-write"), open(path, "wb") as fh:
+        write_clog2_to(fh, log, checksum=checksum, perf=perf)
 
 
 # ---------------------------------------------------------------------------
 # reading
 # ---------------------------------------------------------------------------
+#
+# Every reader decodes with _scan and meets damage at a byte offset.
+# The caller applies one policy to it: strict (no report) raises
+# Clog2FormatError at the offset; salvage resyncs with _resync_offset
+# and accounts the skipped span in a RecoveryReport; the append-partial
+# tail (repro.mpe.salvage.tail_partial) holds an unfinished chunk as
+# torn bytes.
 
+#: The cause :func:`_scan` gives for an item that runs past the end of
+#: its region.  That is a torn tail, not corruption: salvage drops it
+#: and never resyncs into its bytes, so a cut never yields a bogus item.
+_TORN = "truncated CLOG2 file"
 
-def _parse_item_at(data, pos: int, end: int):
-    """Parse one item out of ``data[pos:end]``.
-
-    Returns ``(item, next_pos)``, or ``None`` when the remaining bytes
-    cannot hold the whole item (the streaming reader refills and
-    retries; the eager reader treats it as truncation).  Raises
-    :class:`Clog2FormatError` on an unknown type byte.
-    """
-    t = data[pos]
-    if t == _T_MSG:
-        if pos + 1 + _MSG.size > end:
-            return None
-        ts, rank, kind, other, tag, size = _MSG.unpack_from(data, pos + 1)
-        return MsgEvent(ts, rank, kind, other, tag, size), pos + 1 + _MSG.size
-    if t == _T_BARE:
-        cursor = pos + 1 + _BARE.size
-        if cursor + 2 > end:
-            return None
-        ts, rank, eid = _BARE.unpack_from(data, pos + 1)
-        (n,) = _U16.unpack_from(data, cursor)
-        cursor += 2
-        if cursor + n > end:
-            return None
-        text = bytes(data[cursor:cursor + n]).decode("utf-8")
-        return BareEvent(ts, rank, eid, text), cursor + n
-    if t == _T_STATEDEF:
-        cursor = pos + 1 + _STATEDEF.size
-        if cursor > end:
-            return None
-        start, sto = _STATEDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 2)
-        if parsed is None:
-            return None
-        (name, color), cursor = parsed
-        return StateDef(start, sto, name, color), cursor
-    if t == _T_EVENTDEF:
-        cursor = pos + 1 + _EVENTDEF.size
-        if cursor > end:
-            return None
-        (eid,) = _EVENTDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 2)
-        if parsed is None:
-            return None
-        (name, color), cursor = parsed
-        return EventDef(eid, name, color), cursor
-    if t == _T_RANKNAME:
-        cursor = pos + 1 + _EVENTDEF.size
-        if cursor > end:
-            return None
-        (rank,) = _EVENTDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 1)
-        if parsed is None:
-            return None
-        (name,), cursor = parsed
-        return RankName(rank, name), cursor
-    raise Clog2FormatError(f"unknown record type byte 0x{t:02x}")
-
-
-def _parse_strs(data, pos: int, end: int, count: int):
-    """Parse ``count`` length-prefixed strings; None if bytes run out."""
-    out = []
-    for _ in range(count):
-        if pos + 2 > end:
-            return None
-        (n,) = _U16.unpack_from(data, pos)
-        pos += 2
-        if pos + n > end:
-            return None
-        out.append(bytes(data[pos:pos + n]).decode("utf-8"))
-        pos += n
-    return out, pos
-
-
-def iter_items(fh) -> Iterator[Definition | LogRecord]:
-    """Lazily parse a headerless item stream from a binary file object.
-
-    Reads in ~1 MiB chunks and keeps only the unparsed tail resident, so
-    arbitrarily large streams cost constant memory.  Raises
-    :class:`Clog2FormatError` on a record torn at EOF or an unknown
-    type byte, exactly like the eager reader.
-    """
-    buf = b""
-    pos = 0
-    eof = False
-    while True:
-        end = len(buf)
-        while pos < end:
-            parsed = _parse_item_at(buf, pos, end)
-            if parsed is None:
-                break
-            item, pos = parsed
-            yield item
-        if pos >= end and eof:
-            return
-        chunk = fh.read(_READ_CHUNK)
-        if chunk:
-            buf = buf[pos:] + chunk
-            pos = 0
-        elif eof or pos >= len(buf):
-            # No growth possible and a partial item remains.
-            if pos < len(buf):
-                raise Clog2FormatError("truncated CLOG2 file")
-            return
-        else:
-            eof = True
+_VALID_TYPE_BYTES = frozenset(
+    (_T_STATEDEF, _T_EVENTDEF, _T_BARE, _T_MSG, _T_RANKNAME))
 
 
 class Clog2Header(NamedTuple):
@@ -568,78 +419,233 @@ class Clog2Header(NamedTuple):
         return self.version >= CHECKSUM_VERSION
 
 
+def _header_at(data: bytes, start: int) -> tuple[Clog2Header | None, str]:
+    """``(header, "")`` for a valid CLOG2 header at ``start``, else
+    ``(None, why not)``."""
+    if start + _HDR.size > len(data):
+        return None, f"too short for a CLOG2 header ({len(data) - start} bytes)"
+    magic, version, resolution, num_ranks, nrecords = _HDR.unpack_from(
+        data, start)
+    if magic != MAGIC:
+        return None, f"bad magic {magic!r}"
+    if version not in _KNOWN_VERSIONS:
+        return None, f"unsupported CLOG2 version {version}"
+    return Clog2Header(resolution, num_ranks, nrecords, version), ""
+
+
 def read_header(fh) -> Clog2Header:
     """Parse and validate the CLOG2 header from an open binary file."""
-    magic, version, resolution, num_ranks, nrecords = _HDR.unpack(
-        _read_exact(fh, _HDR.size))
-    if magic != MAGIC:
-        raise Clog2FormatError(f"bad magic {magic!r}")
-    if version not in _KNOWN_VERSIONS:
-        raise Clog2FormatError(f"unsupported CLOG2 version {version}")
-    return Clog2Header(resolution, num_ranks, nrecords, version)
+    header, reason = _header_at(fh.read(_HDR.size), 0)
+    if header is None:
+        raise Clog2FormatError(reason)
+    return header
 
 
-def iter_framed_items(fh) -> Iterator[Definition | LogRecord]:
-    """Lazily parse a version-2 block-framed item stream.
+def _strs(data: bytes, pos: int, end: int, count: int
+          ) -> tuple[list[str], int]:
+    """Decode ``count`` u16-prefixed strings at ``pos``:
+    ``(strings, offset after them)``."""
+    out = []
+    for _ in range(count):
+        start = pos + 2
+        (n,) = _U16.unpack_from(data, pos)
+        pos = start + n
+        if pos > end:
+            raise Clog2FormatError(_TORN)
+        out.append(data[start:pos].decode("utf-8"))
+    return out, pos
 
-    One block is read and CRC-verified at a time, so memory stays
-    bounded by the writer's flush slab.  Raises
-    :class:`Clog2ChecksumError` on a CRC mismatch and
-    :class:`Clog2FormatError` on a torn frame.
+
+def _scan(data: bytes, pos: int, end: int, defs: list[Definition],
+          recs: list[LogRecord]) -> tuple[int, str | None]:
+    """Decode the items in ``data[pos:end]`` into ``defs`` and ``recs``
+    — the one CLOG2 item decoder.
+
+    Returns ``(end, None)`` when every item decoded whole.  Otherwise
+    returns ``(stop, cause)``: ``stop`` is the offset of the first item
+    that did not (torn at ``end``, an unknown type byte, text that is
+    not UTF-8), and every item before it has been kept.  BareEvent and
+    MsgEvent, the bulk of any log, decode inline with one fused unpack
+    each.
     """
-    while True:
-        head = fh.read(_BLOCK.size)
-        if not head:
-            return
-        if len(head) < _BLOCK.size:
-            raise Clog2FormatError("truncated CLOG2 block header")
-        length, crc = _BLOCK.unpack(head)
-        payload = fh.read(length)
-        if len(payload) < length:
-            raise Clog2FormatError(
-                f"truncated CLOG2 block (promised {length} bytes, "
-                f"got {len(payload)})")
-        if zlib.crc32(payload) != crc:
-            raise Clog2ChecksumError(
-                f"block checksum mismatch (stored 0x{crc:08x}, "
-                f"computed 0x{zlib.crc32(payload):08x})")
-        pos = 0
-        end = length
-        while pos < end:
-            parsed = _parse_item_at(payload, pos, end)
-            if parsed is None:
-                # Blocks end on item boundaries by construction; a
-                # partial item inside a CRC-valid block is a writer bug.
-                raise Clog2FormatError("item torn across a block boundary")
-            item, pos = parsed
-            yield item
-
-
-def iter_clog2(path: str) -> tuple[Clog2Header, Iterator[Definition | LogRecord]]:
-    """Open a CLOG2 file for streaming: ``(header, item iterator)``.
-
-    The iterator owns the file handle and closes it on exhaustion,
-    error, or garbage collection.  Item order is exactly file order
-    (definitions first, as the writers emit them).  Version-2 files are
-    de-framed and CRC-verified block by block as they stream.
-    """
-    fh = open(path, "rb")
+    drec = defs.append
+    rrec = recs.append
+    bare_unpack = _BARE_FULL_U16.unpack_from
+    msg_unpack = _MSG_FULL.unpack_from
+    bare_head = _BARE_FULL_U16.size
+    msg_size = _MSG_FULL.size
     try:
-        header = read_header(fh)
-    except Exception:
-        fh.close()
-        raise
-
-    def _gen():
-        try:
-            if header.checksummed:
-                yield from iter_framed_items(fh)
+        while pos < end:
+            t = data[pos]
+            if t == _T_BARE:
+                _, ts, rank, eid, n = bare_unpack(data, pos)
+                cursor = pos + bare_head
+                nxt = cursor + n
+                if nxt > end:
+                    return pos, _TORN
+                rrec(BareEvent(ts, rank, eid,
+                               data[cursor:nxt].decode("utf-8")))
+            elif t == _T_MSG:
+                nxt = pos + msg_size
+                if nxt > end:
+                    return pos, _TORN
+                _, ts, rank, kind, other, tag, size = msg_unpack(data, pos)
+                rrec(MsgEvent(ts, rank, kind, other, tag, size))
+            elif t == _T_STATEDEF:
+                _, start_id, end_id = _STATEDEF_FULL.unpack_from(data, pos)
+                (name, color), nxt = _strs(
+                    data, pos + _STATEDEF_FULL.size, end, 2)
+                drec(StateDef(start_id, end_id, name, color))
+            elif t == _T_EVENTDEF:
+                _, eid = _IDONLY_FULL.unpack_from(data, pos)
+                (name, color), nxt = _strs(
+                    data, pos + _IDONLY_FULL.size, end, 2)
+                drec(EventDef(eid, name, color))
+            elif t == _T_RANKNAME:
+                _, rank = _IDONLY_FULL.unpack_from(data, pos)
+                (name,), nxt = _strs(data, pos + _IDONLY_FULL.size, end, 1)
+                drec(RankName(rank, name))
             else:
-                yield from iter_items(fh)
-        finally:
-            fh.close()
+                return pos, f"unknown record type byte 0x{t:02x}"
+            pos = nxt
+    except struct.error:
+        return pos, _TORN  # an unpack ran past the end of the buffer
+    except (Clog2FormatError, UnicodeDecodeError) as exc:
+        return pos, str(exc)
+    return pos, None
 
-    return header, _gen()
+
+def _resync_offset(data: bytes, start: int, end: int,
+                   defs: list[Definition], recs: list[LogRecord]
+                   ) -> tuple[int, int, str | None]:
+    """Find the first offset >= ``start`` where an item decodes whole
+    and is followed by ``end`` or another plausible item start, and
+    decode on from there.
+
+    Returns ``(offset, stop, cause)``: the resync point and the outcome
+    of :func:`_scan` from it, whose items join ``defs``/``recs``.
+    ``(end, end, None)`` when no such point exists (the rest of the
+    region is unrecoverable).
+    """
+    for off in range(start, end):
+        if data[off] not in _VALID_TYPE_BYTES:
+            continue
+        d: list[Definition] = []
+        r: list[LogRecord] = []
+        stop, cause = _scan(data, off, end, d, r)
+        decoded = len(d) + len(r)
+        if decoded > 1 or (decoded == 1 and (
+                stop == end or data[stop] in _VALID_TYPE_BYTES)):
+            defs.extend(d)
+            recs.extend(r)
+            return off, stop, cause
+    return end, end, None
+
+
+def _damage(report: "RecoveryReport | None", source: str, start: int,
+            stop: int, reason: str, error=Clog2FormatError) -> None:
+    """Meet damage spanning ``[start, stop)``: strict (no ``report``)
+    raises ``error`` at the offset, salvage accounts the span."""
+    if report is None:
+        raise error(f"{reason} at offset {start}")
+    report.drop(source, start, stop, reason)
+
+
+def _decode_items(data: bytes, pos: int, end: int, defs: list[Definition],
+                  recs: list[LogRecord], report: "RecoveryReport | None",
+                  source: str) -> None:
+    """Decode the headerless item stream ``data[pos:end]`` into
+    ``defs``/``recs`` under one damage policy: strict (no ``report``)
+    raises at the first damaged item; salvage skips to the next point
+    where items decode again and accounts the skipped span.  An item
+    torn at ``end`` is dropped with everything after it."""
+    stop, cause = _scan(data, pos, end, defs, recs)
+    while cause is not None:
+        if report is None:
+            raise Clog2FormatError(f"{cause} at offset {stop}")
+        skip, nxt, next_cause = ((end, end, None) if cause == _TORN else
+                                 _resync_offset(data, stop + 1, end,
+                                                defs, recs))
+        report.drop(source, stop, skip, f"unparseable record ({cause})")
+        stop, cause = nxt, next_cause
+
+
+def _walk_blocks(data: bytes, pos: int, defs: list[Definition],
+                 recs: list[LogRecord], report: "RecoveryReport | None",
+                 source: str) -> None:
+    """Decode the version-2 block sequence from ``pos`` to the end of
+    ``data``; each block's CRC is checked before its items are decoded.
+
+    Under salvage a CRC mismatch drops *exactly* the damaged block —
+    the frame length says where the next one starts, so corruption is
+    localised instead of smeared forward the way the version-1 resync
+    has to — and a torn frame drops the tail.
+    """
+    end = len(data)
+    view = memoryview(data)
+    while pos < end:
+        body = pos + _BLOCK.size
+        if body > end:
+            _damage(report, source, pos, end, "truncated block header")
+            return
+        length, crc = _BLOCK.unpack_from(data, pos)
+        nxt = body + length
+        if nxt > end:
+            _damage(report, source, pos, end,
+                    f"truncated block (promised {length} bytes, "
+                    f"got {end - body})")
+            return
+        computed = zlib.crc32(view[body:nxt])
+        if computed != crc:
+            _damage(report, source, pos, nxt,
+                    f"block checksum mismatch (stored 0x{crc:08x}, "
+                    f"computed 0x{computed:08x})", Clog2ChecksumError)
+        else:
+            _decode_items(data, body, nxt, defs, recs, report, source)
+        pos = nxt
+
+
+def _parse_image(data: bytes, start: int,
+                 report: "RecoveryReport | None", source: str) -> Clog2File:
+    """Parse the CLOG2 image (header, then items) at ``data[start:]``.
+
+    Strict without a ``report``: any damage raises
+    :class:`Clog2FormatError`.  With one, damage is skipped and
+    accounted there (offsets are positions in ``data``).  Shared by
+    :func:`read_log` and the rewrite-mode partials, which embed a
+    whole image after their sync section.
+    """
+    header, reason = _header_at(data, start)
+    if header is None:
+        _damage(report, source, start, len(data), reason)
+        return Clog2File(1e-6, 0, [], [])
+    definitions: list[Definition] = []
+    records: list[LogRecord] = []
+    body = start + _HDR.size
+    if header.checksummed:
+        _walk_blocks(data, body, definitions, records, report, source)
+    else:
+        _decode_items(data, body, len(data), definitions, records, report,
+                     source)
+    promised = header.num_records
+    if report is None and len(records) != promised:
+        raise Clog2FormatError(
+            f"header promised {promised} records, found {len(records)}")
+    if report is not None and len(records) < promised:
+        # The header knows how many records the writer meant to store;
+        # anything the torn spans swallowed is exactly the difference.
+        report.records_dropped = max(report.records_dropped,
+                                     promised - len(records))
+        report.note(f"{source}: header promised {promised} records, "
+                    f"salvaged {len(records)}")
+    return Clog2File(header.clock_resolution, header.num_ranks,
+                     definitions, records)
+
+
+def _check_errors_mode(errors: str) -> None:
+    if errors not in ("strict", "salvage"):
+        raise ValueError(
+            f"errors must be 'strict' or 'salvage', got {errors!r}")
 
 
 def read_log(path: str, *, errors: str = "strict",
@@ -655,405 +661,18 @@ def read_log(path: str, *, errors: str = "strict",
     not robustness.
     """
     _check_errors_mode(errors)
+    report: RecoveryReport | None = None
     if errors == "salvage":
-        return _read_log_salvage(path)
-    if perf is not None:
-        with perf.stage("clog2-read"):
-            log = _read_log_strict(path, perf)
-    else:
-        log = _read_log_strict(path, None)
-    return Clog2ReadResult(log, None)
+        from repro.mpe.recovery import RecoveryReport
 
-
-def _check_errors_mode(errors: str) -> None:
-    if errors not in ("strict", "salvage"):
-        raise ValueError(
-            f"errors must be 'strict' or 'salvage', got {errors!r}")
-
-
-def _read_log_strict(path: str, perf: "PerfRecorder | None") -> Clog2File:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    log = parse_clog2_bytes(data)
+        report = RecoveryReport(source=os.path.basename(path))
+    with stage(perf, "clog2-read"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        log = _parse_image(data, 0, report,
+                                report.source if report else "")
+    if report is not None:
+        report.records_kept += len(log.records)
     if perf is not None:
         perf.count("clog2-read", records=len(log.records), bytes=len(data))
-    return log
-
-
-def parse_clog2_bytes(data: bytes) -> Clog2File:
-    """Strictly parse a complete CLOG2 image (header + items) held in
-    memory.  Raises :class:`Clog2FormatError` on any damage.
-
-    BareEvent/MsgEvent (the overwhelming bulk of any log) are decoded
-    inline with pre-bound ``unpack_from``; definitions fall through to
-    :func:`_parse_item_at`.
-    """
-    header = read_header(io.BytesIO(data[:_HDR.size]))
-    if header.checksummed:
-        data = _deframe_strict(data)
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    drec = definitions.append
-    rrec = records.append
-    pos = _HDR.size
-    end = len(data)
-    bare_unpack = _BARE.unpack_from
-    msg_unpack = _MSG.unpack_from
-    u16_unpack = _U16.unpack_from
-    bare_size = _BARE.size
-    msg_size = _MSG.size
-    try:
-        while pos < end:
-            t = data[pos]
-            if t == _T_BARE:
-                ts, rank, eid = bare_unpack(data, pos + 1)
-                cursor = pos + 1 + bare_size
-                (n,) = u16_unpack(data, cursor)
-                cursor += 2
-                tail = cursor + n
-                if tail > end:
-                    raise Clog2FormatError("truncated CLOG2 file")
-                rrec(BareEvent(ts, rank, eid,
-                               data[cursor:tail].decode("utf-8")))
-                pos = tail
-            elif t == _T_MSG:
-                ts, rank, kind, other, tag, size = msg_unpack(data, pos + 1)
-                rrec(MsgEvent(ts, rank, kind, other, tag, size))
-                pos += 1 + msg_size
-            else:
-                parsed = _parse_item_at(data, pos, end)
-                if parsed is None:
-                    raise Clog2FormatError("truncated CLOG2 file")
-                item, pos = parsed
-                drec(item)
-    except struct.error:
-        # unpack_from ran past the buffer: a record torn at EOF.
-        raise Clog2FormatError("truncated CLOG2 file") from None
-    if len(records) != header.num_records:
-        raise Clog2FormatError(
-            f"header promised {header.num_records} records, "
-            f"found {len(records)}")
-    return Clog2File(header.clock_resolution, header.num_ranks,
-                     definitions, records)
-
-
-def _deframe_strict(data: bytes) -> bytes:
-    """Strictly unwrap a version-2 image's blocks into a version-1-shaped
-    image (header + raw item bytes).  Raises on torn frames and CRC
-    mismatches."""
-    parts = [data[:_HDR.size]]
-    pos = _HDR.size
-    end = len(data)
-    while pos < end:
-        if pos + _BLOCK.size > end:
-            raise Clog2FormatError("truncated CLOG2 block header")
-        length, crc = _BLOCK.unpack_from(data, pos)
-        pos += _BLOCK.size
-        if pos + length > end:
-            raise Clog2FormatError(
-                f"truncated CLOG2 block (promised {length} bytes, "
-                f"got {end - pos})")
-        payload = data[pos:pos + length]
-        if zlib.crc32(payload) != crc:
-            raise Clog2ChecksumError(
-                f"block checksum mismatch at offset {pos - _BLOCK.size} "
-                f"(stored 0x{crc:08x}, computed 0x{zlib.crc32(payload):08x})")
-        parts.append(payload)
-        pos += length
-    return b"".join(parts)
-
-
-def _read_log_salvage(path: str) -> Clog2ReadResult:
-    import os
-
-    from repro.mpe.recovery import RecoveryReport
-
-    report = RecoveryReport(source=os.path.basename(path))
-    with open(path, "rb") as fh:
-        data = fh.read()
-    log = parse_clog2_bytes_tolerant(data, report, report.source)
     return Clog2ReadResult(log, report)
-
-
-def read_one_item(fh) -> Definition | LogRecord | None:
-    """Parse one definition or record; ``None`` on clean EOF.
-
-    Raises :class:`Clog2FormatError` on an unknown type byte or a
-    record torn mid-field — the tolerant reader catches exactly these.
-    """
-    tbyte = fh.read(1)
-    if not tbyte:
-        return None
-    t = tbyte[0]
-    if t == _T_STATEDEF:
-        start, end = _STATEDEF.unpack(_read_exact(fh, _STATEDEF.size))
-        name = _unpack_str(fh)
-        color = _unpack_str(fh)
-        return StateDef(start, end, name, color)
-    if t == _T_EVENTDEF:
-        (eid,) = _EVENTDEF.unpack(_read_exact(fh, _EVENTDEF.size))
-        name = _unpack_str(fh)
-        color = _unpack_str(fh)
-        return EventDef(eid, name, color)
-    if t == _T_BARE:
-        ts, rank, eid = _BARE.unpack(_read_exact(fh, _BARE.size))
-        text = _unpack_str(fh)
-        return BareEvent(ts, rank, eid, text)
-    if t == _T_RANKNAME:
-        (rank,) = _EVENTDEF.unpack(_read_exact(fh, _EVENTDEF.size))
-        name = _unpack_str(fh)
-        return RankName(rank, name)
-    if t == _T_MSG:
-        ts, rank, kind, other, tag, size = _MSG.unpack(
-            _read_exact(fh, _MSG.size))
-        return MsgEvent(ts, rank, kind, other, tag, size)
-    raise Clog2FormatError(f"unknown record type byte 0x{t:02x}")
-
-
-def read_items(fh) -> tuple[list[Definition], list[LogRecord]]:
-    """Parse a headerless definition+record stream until EOF."""
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    for item in iter_items(fh):
-        if isinstance(item, (BareEvent, MsgEvent)):
-            records.append(item)
-        else:
-            definitions.append(item)
-    return definitions, records
-
-
-# -- growing files (live tailing) --------------------------------------------
-
-
-class GrowingRead(NamedTuple):
-    """What :func:`read_growing` hands back for one poll of a file that
-    a writer may still be appending to.
-
-    ``items`` is every whole item parsed since the given offset;
-    ``offset`` is the first byte *not* consumed — pass it back on the
-    next poll to resume without re-reading; ``torn_bytes`` counts the
-    bytes currently held at the tail because they do not yet form a
-    complete item (version 1) or a complete CRC-valid block (version
-    2).  A non-zero ``torn_bytes`` is not damage: it is "the writer has
-    not finished this flush yet", and the held bytes are re-examined on
-    the next poll once the file has grown."""
-
-    items: list[Definition | LogRecord]
-    offset: int
-    torn_bytes: int
-
-
-def open_growing(path: str) -> tuple[Clog2Header, int] | None:
-    """Read the header of a possibly-still-being-written CLOG2 file.
-
-    Returns ``(header, body_offset)`` once the fixed header is fully on
-    disk, or ``None`` while the file is still shorter than a header
-    (the writer has opened it but not flushed yet).  Bad magic or an
-    unknown version still raise — a file that *starts* wrong will not
-    become right by growing.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HDR.size)
-    if len(head) < _HDR.size:
-        return None
-    return read_header(io.BytesIO(head)), _HDR.size
-
-
-def read_growing(path: str, offset: int, *,
-                 checksummed: bool = False) -> GrowingRead:
-    """Parse whole items from ``offset`` to the current end of ``path``.
-
-    The growing-file contract (unlike :func:`iter_items` /
-    :func:`iter_framed_items`, which treat a torn tail as a format
-    error): a partial item or partial block at the tail is *held*, not
-    raised and not dropped — the returned offset stops at the last
-    clean boundary so the caller can re-poll after the writer's next
-    flush.  Real damage still raises: an unknown type byte, or a
-    version-2 block whose bytes are all present but whose CRC does not
-    match, cannot be healed by waiting.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        data = fh.read()
-    items: list[Definition | LogRecord] = []
-    pos = 0
-    end = len(data)
-    if checksummed:
-        while pos < end:
-            if pos + _BLOCK.size > end:
-                break  # block header still being written
-            length, crc = _BLOCK.unpack_from(data, pos)
-            body = pos + _BLOCK.size
-            if body + length > end:
-                break  # block payload still being written
-            payload = data[body:body + length]
-            if zlib.crc32(payload) != crc:
-                raise Clog2ChecksumError(
-                    f"block checksum mismatch at offset {offset + pos} "
-                    f"(stored 0x{crc:08x}, "
-                    f"computed 0x{zlib.crc32(payload):08x})")
-            ipos = 0
-            while ipos < length:
-                parsed = _parse_item_at(payload, ipos, length)
-                if parsed is None:
-                    # Blocks end on item boundaries by construction.
-                    raise Clog2FormatError(
-                        "item torn across a block boundary")
-                item, ipos = parsed
-                items.append(item)
-            pos = body + length
-    else:
-        while pos < end:
-            parsed = _parse_item_at(data, pos, end)
-            if parsed is None:
-                break  # item still being written
-            item, pos = parsed
-            items.append(item)
-    return GrowingRead(items, offset + pos, end - pos)
-
-
-# -- tolerant reading (the crash-tolerant pipeline) -------------------------
-
-_PARSE_ERRORS = (Clog2FormatError, struct.error, UnicodeDecodeError,
-                 IndexError)
-
-_VALID_TYPE_BYTES = frozenset(
-    (_T_STATEDEF, _T_EVENTDEF, _T_BARE, _T_MSG, _T_RANKNAME))
-
-
-def _resync_offset(data: bytes, start: int) -> int:
-    """First offset >= ``start`` where a whole item parses and is
-    followed by EOF or another plausible item start; ``len(data)`` when
-    no such point exists (the rest of the file is unrecoverable)."""
-    end = len(data)
-    for off in range(start, end):
-        if data[off] not in _VALID_TYPE_BYTES:
-            continue
-        try:
-            parsed = _parse_item_at(data, off, end)
-        except _PARSE_ERRORS:
-            continue
-        if parsed is None:
-            continue
-        pos = parsed[1]
-        if pos >= end or data[pos] in _VALID_TYPE_BYTES:
-            return off
-    return end
-
-
-def read_items_tolerant(data: bytes, report, source: str,
-                        base_offset: int = 0
-                        ) -> tuple[list[Definition], list[LogRecord]]:
-    """Parse a headerless item stream, skipping torn/corrupt spans.
-
-    ``data`` is the stream body only; offsets recorded in ``report``
-    (a :class:`repro.mpe.recovery.RecoveryReport`) are shifted by
-    ``base_offset`` so they refer to positions in the enclosing file.
-    """
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = 0
-    end = len(data)
-    while pos < end:
-        try:
-            parsed = _parse_item_at(data, pos, end)
-            if parsed is None:
-                raise Clog2FormatError("truncated CLOG2 file")
-        except _PARSE_ERRORS as exc:
-            skip_to = _resync_offset(data, pos + 1)
-            report.drop(source, base_offset + pos, base_offset + skip_to,
-                        f"unparseable record ({exc})")
-            if skip_to >= end:
-                break
-            pos = skip_to
-            continue
-        item, pos = parsed
-        if isinstance(item, (BareEvent, MsgEvent)):
-            records.append(item)
-        else:
-            definitions.append(item)
-    return definitions, records
-
-
-def _read_framed_tolerant(data: bytes, report, source: str,
-                          base_offset: int
-                          ) -> tuple[list[Definition], list[LogRecord]]:
-    """Tolerantly walk a version-2 block sequence.
-
-    A CRC mismatch drops *exactly* the damaged block — the frame length
-    tells us where the next one starts, so corruption is localised
-    instead of smeared forward the way the version-1 resync scan has to.
-    A torn frame at EOF drops the tail.
-    """
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = _HDR.size
-    end = len(data)
-    while pos < end:
-        frame_start = pos
-        if pos + _BLOCK.size > end:
-            report.drop(source, base_offset + frame_start, base_offset + end,
-                        "truncated block header")
-            break
-        length, crc = _BLOCK.unpack_from(data, pos)
-        pos += _BLOCK.size
-        if pos + length > end:
-            report.drop(source, base_offset + frame_start, base_offset + end,
-                        f"truncated block (promised {length} bytes, "
-                        f"got {end - pos})")
-            break
-        payload = data[pos:pos + length]
-        pos += length
-        if zlib.crc32(payload) != crc:
-            report.drop(source, base_offset + frame_start, base_offset + pos,
-                        f"block checksum mismatch (stored 0x{crc:08x}, "
-                        f"computed 0x{zlib.crc32(payload):08x})")
-            continue
-        # CRC passed: the payload is exactly what the writer flushed.
-        # Any parse failure inside it would be a writer bug, which the
-        # tolerant item walk still surfaces as a dropped span.
-        defs, recs = read_items_tolerant(
-            payload, report, source,
-            base_offset=base_offset + frame_start + _BLOCK.size)
-        definitions.extend(defs)
-        records.extend(recs)
-    return definitions, records
-
-
-def parse_clog2_bytes_tolerant(data: bytes, report, source: str,
-                               base_offset: int = 0) -> Clog2File:
-    """Tolerantly parse a complete CLOG2 image (header + items) held in
-    memory, accounting losses into ``report``.  Shared by the salvage
-    modes of :func:`read_log` and the partial reader (whose
-    rewrite-mode partials embed a whole CLOG2 body)."""
-    empty = Clog2File(1e-6, 0, [], [])
-    if len(data) < _HDR.size:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"too short for a CLOG2 header ({len(data)} bytes)")
-        return empty
-    magic, version, resolution, num_ranks, nrecords = _HDR.unpack(
-        data[:_HDR.size])
-    if magic != MAGIC:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"bad magic {magic!r}")
-        return empty
-    if version not in _KNOWN_VERSIONS:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"unsupported CLOG2 version {version}")
-        return empty
-    if version >= CHECKSUM_VERSION:
-        definitions, records = _read_framed_tolerant(
-            data, report, source, base_offset)
-    else:
-        definitions, records = read_items_tolerant(
-            data[_HDR.size:], report, source,
-            base_offset=base_offset + _HDR.size)
-    report.records_kept += len(records)
-    if len(records) < nrecords:
-        missing = nrecords - len(records)
-        # The header knows how many records the writer meant to store;
-        # anything the torn spans swallowed is exactly the difference.
-        report.records_dropped = max(report.records_dropped, missing)
-        report.note(f"{source}: header promised {nrecords} records, "
-                    f"salvaged {len(records)}")
-    return Clog2File(resolution, num_ranks, definitions, records)

@@ -44,6 +44,7 @@ from repro.mpe.clog2 import (
     write_clog2,
 )
 from repro.mpe.recovery import RecoveryReport
+from repro.perf import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf import PerfRecorder
@@ -206,19 +207,13 @@ def fsck_path(path: str, *, repair_to: str | None = None,
     """Scan (and optionally repair) one log file; see the module
     docstring.  Never raises on damage — a file fsck cannot even
     identify comes back as ``format="unknown"`` with one issue."""
-    if perf is not None:
-        with perf.stage("fsck-scan"):
-            report = _scan(path, perf)
-    else:
-        report = _scan(path, None)
+    with stage(perf, "fsck-scan"):
+        report = _scan(path, perf)
     if quarantine_to is not None and report.issues:
         _quarantine(path, report.issues, quarantine_to)
         report.quarantined_to = quarantine_to
     if repair_to is not None and report.format != "unknown":
-        if perf is not None:
-            with perf.stage("fsck-repair"):
-                _repair(path, report, repair_to)
-        else:
+        with stage(perf, "fsck-repair"):
             _repair(path, report, repair_to)
         report.repaired_to = repair_to
     return report

@@ -42,6 +42,12 @@ skipped and accounted):
   CLOG2 via a heap-based k-way merge (see :mod:`repro.mpe.merge`) and
   returns ``(Clog2File, RecoveryReport | None)``.
 
+Both layouts decode their records with the one CLOG2 item decoder
+(:mod:`repro.mpe.clog2`); append-mode chunks go through one chunk
+walker, which :func:`tail_partial` (live polling) and a strict read
+run with the same policy: a chunk the file ends inside is held, so a
+strict read leaves a torn final chunk out.
+
 Rewrite layout: magic ``CLOGPART``, sync section, one CLOG2 body.
 Append layout: magic ``CLOGPARA``, then framed chunks — each chunk is
 ``u8 kind ('S' sync point | 'R' record block)``, ``u32 length``,
@@ -52,6 +58,7 @@ stream).
 from __future__ import annotations
 
 import glob
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -62,12 +69,17 @@ from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
     Clog2File,
     Clog2FormatError,
-    parse_clog2_bytes,
+    _check_errors_mode,
+    _damage,
+    _decode_items,
+    _parse_image,
     write_clog2,
     write_clog2_to,
+    write_items,
 )
 from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.records import Definition, LogRecord
+from repro.perf import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpe.recovery import RecoveryReport
@@ -125,10 +137,6 @@ class AppendPartialWriter:
 
     def checkpoint(self, log: RankLog) -> int:
         """Append new sync points and records; returns records appended."""
-        import io
-
-        from repro.mpe.clog2 import write_items
-
         new_records = log.records[self._records_written:]
         new_syncs = log.sync_points[self._syncs_written:]
         if not new_records and not new_syncs:
@@ -174,44 +182,6 @@ class MergeResult(NamedTuple):
     recovery: "RecoveryReport | None"
 
 
-def _check_errors_mode(errors: str) -> None:
-    if errors not in ("strict", "salvage"):
-        raise ValueError(
-            f"errors must be 'strict' or 'salvage', got {errors!r}")
-
-
-def _read_append_partial(path: str) -> Partial:
-    import io
-
-    from repro.mpe.clog2 import read_items
-
-    with open(path, "rb") as fh:
-        head = fh.read(_AHDR.size)
-        magic, rank, resolution, _ = _AHDR.unpack(head)
-        sync_points: list[SyncPoint] = []
-        definitions: list[Definition] = []
-        records: list[LogRecord] = []
-        while True:
-            frame = fh.read(_CHUNK.size)
-            if len(frame) < _CHUNK.size:
-                break  # clean EOF or torn frame header: stop here
-            kind, length = _CHUNK.unpack(frame)
-            payload = fh.read(length)
-            if len(payload) < length:
-                break  # torn chunk from an abort mid-write: drop it
-            if kind == _K_SYNC:
-                local_time, offset = _SYNC.unpack(payload)
-                sync_points.append(SyncPoint(local_time, offset))
-            elif kind == _K_RECORDS:
-                defs, recs = read_items(io.BytesIO(payload))
-                definitions.extend(defs)
-                records.extend(recs)
-            else:
-                raise Clog2FormatError(
-                    f"unknown partial chunk kind 0x{kind:02x}")
-    return Partial(rank, sync_points, definitions, records, resolution)
-
-
 class PartialTail(NamedTuple):
     """One poll of a growing append-mode partial (see
     :func:`tail_partial`).  ``offset`` resumes the next poll at the
@@ -228,6 +198,60 @@ class PartialTail(NamedTuple):
     torn_bytes: int
 
 
+def _walk_chunks(data: bytes, pos: int,
+                 report: "RecoveryReport | None" = None, source: str = ""
+                 ) -> tuple[list[SyncPoint], list[Definition],
+                            list[LogRecord], int]:
+    """Decode the framed chunks of an append-mode partial from ``pos``
+    to the end of ``data``: ``(sync points, definitions, records,
+    stop)``.
+
+    A chunk that the data ends inside is the tail.  Without a
+    ``report`` (the policy of :func:`tail_partial` and of a strict
+    read) it is held: ``stop`` is its offset, and damage inside a
+    complete chunk raises :class:`Clog2FormatError`.  Under salvage
+    every damaged span is accounted, the complete records of a torn
+    final record chunk are kept, and ``stop`` is the end of the data.
+    """
+    syncs: list[SyncPoint] = []
+    defs: list[Definition] = []
+    recs: list[LogRecord] = []
+    end = len(data)
+    while pos < end:
+        body = pos + _CHUNK.size
+        if body > end:
+            if report is None:
+                break  # held: the chunk frame is still being written
+            report.drop(source, pos, end, "torn chunk frame header")
+            return syncs, defs, recs, end
+        kind, length = _CHUNK.unpack_from(data, pos)
+        nxt = body + length
+        if nxt > end:
+            if report is None:
+                break  # held: the chunk payload is still being written
+            if kind == _K_RECORDS:
+                # Even a torn record chunk holds complete records before
+                # the tear; salvage those and account the tail.
+                _decode_items(data, body, end, defs, recs, report, source)
+                report.note(f"{source}: final record chunk torn at byte "
+                            f"{end} (frame promised {length} bytes)")
+                report.drop(source, end, nxt,
+                            "torn final chunk (abort mid-write)", records=1)
+            else:
+                report.drop(source, pos, end, f"torn chunk (kind 0x{kind:02x})")
+            return syncs, defs, recs, end
+        if kind == _K_RECORDS:
+            _decode_items(data, body, nxt, defs, recs, report, source)
+        elif kind == _K_SYNC and length == _SYNC.size:
+            syncs.append(SyncPoint(*_SYNC.unpack_from(data, body)))
+        else:
+            _damage(report, source, pos, nxt,
+                    f"sync chunk of {length} bytes" if kind == _K_SYNC
+                    else f"unknown chunk kind 0x{kind:02x}")
+        pos = nxt
+    return syncs, defs, recs, pos
+
+
 def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
     """Incrementally read an append-mode partial that a rank may still
     be checkpointing to.
@@ -236,63 +260,54 @@ def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
     every later poll — whole chunks between the two are parsed, a
     partial chunk at the tail is held (never emitted, never dropped).
     Returns ``None`` while the file is still shorter than its header.
-    Rewrite-mode partials (magic ``CLOGPART``) are atomically replaced
-    wholesale on every checkpoint, so byte offsets mean nothing across
-    polls there; this function refuses them — re-read those with
-    :func:`read_partial_log` instead.
+    Damage inside a complete chunk raises :class:`Clog2FormatError`:
+    waiting will not heal it.  Rewrite-mode partials (magic
+    ``CLOGPART``) are atomically replaced wholesale on every
+    checkpoint, so byte offsets mean nothing across polls there; this
+    function refuses them — re-read those with :func:`read_partial_log`
+    instead.
     """
     with open(path, "rb") as fh:
-        if offset == 0:
-            head = fh.read(_AHDR.size)
-            if len(head) < 8:
-                return None
-            if head[:8] == PARTIAL_MAGIC:
-                raise Clog2FormatError(
-                    f"{path}: rewrite-mode partials are replaced wholesale "
-                    "per checkpoint; tail_partial only supports append mode")
-            if head[:8] != APPEND_MAGIC:
-                raise Clog2FormatError(f"bad partial magic {head[:8]!r}")
-            if len(head) < _AHDR.size:
-                return None
-            _, rank, resolution, _ = _AHDR.unpack(head)
-            offset = _AHDR.size
-        else:
-            head = fh.read(_AHDR.size)
-            if len(head) < _AHDR.size:
-                raise Clog2FormatError(f"{path}: shrank below its header")
-            _, rank, resolution, _ = _AHDR.unpack(head)
-            fh.seek(offset)
-        data = fh.read()
-    import io as _io
-
-    from repro.mpe.clog2 import read_items
-
-    sync_points: list[SyncPoint] = []
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = 0
-    end = len(data)
-    while pos < end:
-        if pos + _CHUNK.size > end:
-            break  # chunk frame still being written
-        kind, length = _CHUNK.unpack_from(data, pos)
-        body = pos + _CHUNK.size
-        if body + length > end:
-            break  # chunk payload still being written
-        payload = data[body:body + length]
-        if kind == _K_SYNC:
-            local_time, off = _SYNC.unpack(payload)
-            sync_points.append(SyncPoint(local_time, off))
-        elif kind == _K_RECORDS:
-            defs, recs = read_items(_io.BytesIO(payload))
-            definitions.extend(defs)
-            records.extend(recs)
-        else:
+        head = fh.read(_AHDR.size)
+        if head[:8] == PARTIAL_MAGIC:
             raise Clog2FormatError(
-                f"unknown partial chunk kind 0x{kind:02x}")
-        pos = body + length
-    return PartialTail(rank, resolution, sync_points, definitions, records,
-                       offset + pos, end - pos)
+                f"{path}: rewrite-mode partials are replaced wholesale "
+                "per checkpoint; tail_partial only supports append mode")
+        if len(head) >= 8 and head[:8] != APPEND_MAGIC:
+            raise Clog2FormatError(f"bad partial magic {head[:8]!r}")
+        if len(head) < _AHDR.size:
+            if offset:
+                raise Clog2FormatError(f"{path}: shrank below its header")
+            return None
+        start = offset or _AHDR.size
+        fh.seek(start)
+        data = fh.read()
+    _, rank, resolution, _ = _AHDR.unpack(head)
+    try:
+        syncs, defs, recs, stop = _walk_chunks(data, 0)
+    except Clog2FormatError as exc:
+        raise Clog2FormatError(
+            f"{path}: {exc} (counted from byte {start})") from None
+    return PartialTail(rank, resolution, syncs, defs, recs, start + stop,
+                       len(data) - stop)
+
+
+def _read_rewrite(data: bytes, report: "RecoveryReport | None",
+                  source: str) -> Partial:
+    """A rewrite-mode partial: sync section, then one CLOG2 image."""
+    _, rank, nsync = _PHDR.unpack_from(data)
+    points: list[SyncPoint] = []
+    pos = _PHDR.size
+    for _ in range(nsync):
+        if pos + _SYNC.size > len(data):
+            _damage(report, source, pos, len(data),
+                    f"torn sync section ({nsync - len(points)} points lost)")
+            return Partial(rank, points, [], [], 1e-6)
+        points.append(SyncPoint(*_SYNC.unpack_from(data, pos)))
+        pos += _SYNC.size
+    clog = _parse_image(data, pos, report, source)
+    return Partial(rank, points, clog.definitions, clog.records,
+                   clog.clock_resolution)
 
 
 def read_partial_log(path: str, *, errors: str = "strict"
@@ -301,30 +316,40 @@ def read_partial_log(path: str, *, errors: str = "strict"
 
     ``errors="strict"`` raises on damage and returns
     ``(partial, None)``; ``errors="salvage"`` skips torn/corrupt spans
-    and returns ``(partial, report)``.  Under salvage a file too
-    damaged to identify (no readable header) yields a ``Partial`` with
-    ``rank == -1`` and everything accounted as dropped.
+    and returns ``(partial, report)``.  A strict read of an append-mode
+    partial applies the tail policy of :func:`tail_partial`: a torn
+    final chunk (an abort mid-write) is held, so left out.  Under
+    salvage a file too damaged to identify (no readable header) yields
+    a ``Partial`` with ``rank == -1`` and everything accounted as
+    dropped.
     """
     _check_errors_mode(errors)
+    source = os.path.basename(path)
+    report: RecoveryReport | None = None
     if errors == "salvage":
-        return PartialReadResult(*_read_partial_salvage(path))
+        from repro.mpe.recovery import RecoveryReport
+
+        report = RecoveryReport(source=source)
     with open(path, "rb") as fh:
-        head = fh.read(_PHDR.size)
-        if len(head) != _PHDR.size:
-            raise Clog2FormatError("truncated partial header")
-        magic, rank, nsync = _PHDR.unpack(head)
-        if magic == APPEND_MAGIC:
-            return PartialReadResult(_read_append_partial(path), None)
-        if magic != PARTIAL_MAGIC:
-            raise Clog2FormatError(f"bad partial magic {magic!r}")
-        points = []
-        for _ in range(nsync):
-            local_time, offset = _SYNC.unpack(fh.read(_SYNC.size))
-            points.append(SyncPoint(local_time, offset))
-        clog = parse_clog2_bytes(fh.read())
-    return PartialReadResult(
-        Partial(rank, points, clog.definitions, clog.records,
-                clog.clock_resolution), None)
+        data = fh.read()
+    magic = data[:8]
+    if magic == APPEND_MAGIC and len(data) >= _AHDR.size:
+        _, rank, resolution, _ = _AHDR.unpack_from(data)
+        syncs, defs, recs, _stop = _walk_chunks(data, _AHDR.size, report,
+                                                source)
+        part = Partial(rank, syncs, defs, recs, resolution)
+    elif magic == PARTIAL_MAGIC and len(data) >= _PHDR.size:
+        part = _read_rewrite(data, report, source)
+    else:
+        known = magic in (APPEND_MAGIC, PARTIAL_MAGIC)
+        _damage(report, source, 0, len(data),
+                f"bad partial magic {magic!r}"
+                if not known and len(data) >= _PHDR.size
+                else f"too short for a partial header ({len(data)} bytes)")
+        part = Partial(-1, [], [], [], 1e-6)
+    if report is not None:
+        report.records_kept += len(part.records)
+    return PartialReadResult(part, report)
 
 
 def find_partials(base_path: str) -> list[str]:
@@ -378,110 +403,11 @@ def merge_partial_logs(base_path: str, out_path: str | None = None, *,
         raise FileNotFoundError(
             f"no partial logs found for {base_path!r} "
             f"(pattern {base_path}.rankNNNN.part)")
-    if perf is not None:
-        with perf.stage("merge"):
-            partials = [read_partial_log(p).partial for p in paths]
-            log = _merge_partial_objects(partials, perf=perf)
-    else:
-        partials = [read_partial_log(p).partial for p in paths]
-        log = _merge_partial_objects(partials)
+    with stage(perf, "merge"):
+        log = _merge_partial_objects(
+            [read_partial_log(p).partial for p in paths], perf=perf)
     write_clog2(out_path or base_path, log, perf=perf)
     return MergeResult(log, None)
-
-
-# -- tolerant salvage (the crash-tolerant pipeline) -------------------------
-
-
-def _read_partial_salvage(path: str) -> "tuple[Partial, RecoveryReport]":
-    from repro.mpe.clog2 import parse_clog2_bytes_tolerant
-    from repro.mpe.recovery import RecoveryReport
-
-    source = os.path.basename(path)
-    report = RecoveryReport(source=source)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _PHDR.size:
-        report.drop(source, 0, len(data),
-                    f"too short for a partial header ({len(data)} bytes)")
-        return Partial(-1, [], [], [], 1e-6), report
-    magic = data[:8]
-    if magic == APPEND_MAGIC:
-        return _read_append_partial_tolerant(data, report, source)
-    if magic != PARTIAL_MAGIC:
-        report.drop(source, 0, len(data), f"bad partial magic {magic!r}")
-        return Partial(-1, [], [], [], 1e-6), report
-    _, rank, nsync = _PHDR.unpack(data[:_PHDR.size])
-    points: list[SyncPoint] = []
-    pos = _PHDR.size
-    for i in range(nsync):
-        if pos + _SYNC.size > len(data):
-            report.drop(source, pos, len(data),
-                        f"torn sync section ({nsync - i} points lost)")
-            return Partial(rank, points, [], [], 1e-6), report
-        local_time, offset = _SYNC.unpack(data[pos:pos + _SYNC.size])
-        points.append(SyncPoint(local_time, offset))
-        pos += _SYNC.size
-    clog = parse_clog2_bytes_tolerant(data[pos:], report, source,
-                                      base_offset=pos)
-    return (Partial(rank, points, clog.definitions, clog.records,
-                    clog.clock_resolution), report)
-
-
-def _read_append_partial_tolerant(data: bytes, report, source: str
-                                  ) -> "tuple[Partial, RecoveryReport]":
-    from repro.mpe.clog2 import read_items_tolerant
-
-    if len(data) < _AHDR.size:
-        report.drop(source, 0, len(data),
-                    f"too short for an append header ({len(data)} bytes)")
-        return Partial(-1, [], [], [], 1e-6), report
-    _, rank, resolution, _ = _AHDR.unpack(data[:_AHDR.size])
-    sync_points: list[SyncPoint] = []
-    definitions = []
-    records = []
-    pos = _AHDR.size
-    while pos < len(data):
-        if pos + _CHUNK.size > len(data):
-            report.drop(source, pos, len(data), "torn chunk frame header")
-            break
-        kind, length = _CHUNK.unpack(data[pos:pos + _CHUNK.size])
-        payload_start = pos + _CHUNK.size
-        payload_end = payload_start + length
-        payload = data[payload_start:min(payload_end, len(data))]
-        torn = payload_end > len(data)
-        if kind == _K_SYNC:
-            if len(payload) < _SYNC.size:
-                report.drop(source, pos, len(data), "torn sync chunk")
-                break
-            local_time, offset = _SYNC.unpack(payload[:_SYNC.size])
-            sync_points.append(SyncPoint(local_time, offset))
-        elif kind == _K_RECORDS:
-            # Even a torn record chunk holds complete records before the
-            # tear; salvage those and account the tail.
-            defs, recs = read_items_tolerant(payload, report, source,
-                                             base_offset=payload_start)
-            definitions.extend(defs)
-            records.extend(recs)
-            if torn:
-                report.note(f"{source}: final record chunk torn at byte "
-                            f"{len(data)} (frame promised {length} bytes)")
-        else:
-            if torn:
-                report.drop(source, pos, len(data),
-                            f"torn chunk with unknown kind 0x{kind:02x}")
-                break
-            report.drop(source, pos, payload_end,
-                        f"unknown chunk kind 0x{kind:02x}, skipped")
-        if torn:
-            if kind == _K_RECORDS:
-                # The missing tail held at least one record we cannot
-                # recover (possibly cut mid-write by the abort).
-                report.drop(source, len(data), payload_end,
-                            "torn final chunk (abort mid-write)", records=1)
-            break
-        pos = payload_end
-    report.records_kept += len(records)
-    return Partial(rank, sync_points, definitions, records, resolution), report
 
 
 def _merge_partials_salvage(base_path: str, out_path: str | None, *,
@@ -500,10 +426,11 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
     usable: list[Partial] = []
     for p in paths:
         try:
-            part, sub = _read_partial_salvage(p)
+            part, sub = read_partial_log(p, errors="salvage")
         except OSError as exc:
             report.note(f"{os.path.basename(p)}: unreadable ({exc})")
             continue
+        assert sub is not None
         report.absorb(sub)
         if part.rank < 0:
             report.note(f"{os.path.basename(p)}: unidentifiable, skipped")
@@ -512,11 +439,8 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
         report.note(f"{os.path.basename(p)}: rank {part.rank}, "
                     f"{len(part.records)} records, "
                     f"{len(part.sync_points)} sync points")
-    if perf is not None:
-        with perf.stage("merge"):
-            log = _merge_partial_objects(usable, perf=perf)
-    else:
-        log = _merge_partial_objects(usable)
+    with stage(perf, "merge"):
+        log = _merge_partial_objects(usable, perf=perf)
     have = {part.rank for part in usable}
     width = max(expected_ranks or 0, (max(have) + 1) if have else 0)
     for rank in range(width):

@@ -21,8 +21,9 @@ Every pipeline entry point (:func:`repro.mpe.clog2.write_clog2`,
 :func:`repro.slog2.convert.convert`,
 :class:`repro.slog2.frames.FrameTree`,
 :func:`repro.jumpshot.svg.render_svg`) accepts an optional
-``perf=PerfRecorder`` and accounts its own stage; ``None`` costs one
-``if`` per call.  At the Pilot level, service ``p``
+``perf=PerfRecorder`` and accounts its own stage through :func:`stage`,
+so each step is written once whether or not it is measured; ``None``
+costs a no-op context per call.  At the Pilot level, service ``p``
 (``PilotConfig(services="p")`` or ``-pisvc=p``; see
 :mod:`repro.pilot.services`) arms a run-wide recorder and writes its
 snapshot to ``PilotConfig.perf_snapshot_path``, next to the MPE log.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 
@@ -171,3 +173,9 @@ class PerfRecorder:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def stage(perf: "PerfRecorder | None", name: str):
+    """``perf.stage(name)``, or a no-op context when ``perf`` is None —
+    so a measured step's body is written once."""
+    return nullcontext() if perf is None else perf.stage(name)

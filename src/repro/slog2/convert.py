@@ -18,11 +18,11 @@ Everything suspicious lands in the returned :class:`ConversionReport`
 rather than raising: a "non well-behaved" program should still convert,
 as Jumpshot's own converter does.
 
-The engine is :class:`StreamConverter`: records are :meth:`fed
-<StreamConverter.feed>` one at a time and drawables can be handed to a
-``sink`` callback the moment they complete, so the conversion composes
-with the streaming reader (:func:`repro.mpe.clog2.iter_clog2`) and the
-incremental frame tree without a drawables-in-flight list between
+The engine is :class:`StreamConverter`: items are fed in stream order
+through one path (:meth:`~StreamConverter.feed_all`) and drawables can
+be handed to a ``sink`` callback the moment they complete, so the
+conversion composes with the live fold (:mod:`repro.stream.fold`) and
+the incremental frame tree without a drawables-in-flight list between
 stages.  :func:`convert` is the eager wrapper over a parsed
 :class:`~repro.mpe.clog2.Clog2File`; :func:`convert_with_tree` is the
 fused convert-plus-frame-tree used by the viewers' pipeline.
@@ -46,6 +46,7 @@ from repro.mpe.records import (
     RankName,
     StateDef,
 )
+from repro.perf import stage
 from repro.slog2.model import Arrow, Event, SlogCategory, Slog2Doc, State
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -150,26 +151,14 @@ class StreamConverter:
 
     def feed(self, item: Definition | LogRecord) -> None:
         """Accept the next definition or record, in stream order."""
-        kind = type(item)
-        if kind is BareEvent:
-            self._feed_bare(item)
-        elif kind is MsgEvent:
-            self._feed_msg(item)
-        elif kind is StateDef:
-            self._state_defs.append(item)
-        elif kind is EventDef:
-            self._event_defs.append(item)
-        elif kind is RankName:
-            self._file_rank_names[item.rank] = item.name
-        else:
-            raise TypeError(f"cannot convert {item!r}")
+        self.feed_all((item,))
 
     def feed_all(self, items: Iterable[Definition | LogRecord]) -> None:
-        """Feed a whole stream; same semantics as :meth:`feed` per item,
-        with the dispatch and the two hot helpers inlined (this loop
-        converts every record of every log, so locals instead of
-        attribute walks matter).  Rare paths — improper nesting,
-        unknown items — fall back to the shared methods."""
+        """Accept definitions and records in stream order — the one
+        conversion path.  This loop converts every record of every log,
+        so the dispatch is inlined and state lives in locals instead of
+        attribute walks; improper nesting, the rare path, goes through
+        :meth:`_close_state`."""
         report = self.report
         sink = self._sink
         start_of, end_of = self._start_of, self._end_of
@@ -283,41 +272,6 @@ class StreamConverter:
                                        ARROW_COLOR, "arrow"))
         self._categories = categories
 
-    def _feed_bare(self, rec: BareEvent) -> None:
-        if self._categories is None:
-            self._build_categories()
-        if rec.event_id in self._start_of:
-            self._stacks[rec.rank].append(
-                (self._start_of[rec.event_id], rec.timestamp, rec.text))
-        elif rec.event_id in self._end_of:
-            self._close_state(rec, self._end_of[rec.event_id])
-        elif rec.event_id in self._event_cat:
-            event = Event(self._event_cat[rec.event_id], rec.rank,
-                          rec.timestamp, rec.text)
-            self._events.append(event)
-            if self._sink is not None:
-                self._sink(event)
-        else:
-            self.report.unknown_event_ids += 1
-
-    def _feed_msg(self, rec: MsgEvent) -> None:
-        if self._categories is None:
-            self._build_categories()
-        if rec.kind == SEND:
-            key = (rec.rank, rec.other_rank, rec.tag)
-            waiting = self._pending_recvs[key]
-            if waiting:
-                self._emit_arrow(rec, waiting.popleft())
-            else:
-                self._pending_sends[key].append(rec)
-        elif rec.kind == RECV:
-            key = (rec.other_rank, rec.rank, rec.tag)
-            waiting = self._pending_sends[key]
-            if waiting:
-                self._emit_arrow(waiting.popleft(), rec)
-            else:
-                self._pending_recvs[key].append(rec)
-
     def _close_state(self, rec: BareEvent, cat: int) -> None:
         """Pop the matching start; tolerate (and count) improper nesting."""
         stack = self._stacks[rec.rank]
@@ -335,17 +289,6 @@ class StreamConverter:
                 return
         # End without a start: count as improper nesting, drop the record.
         self.report.improper_nesting += 1
-
-    def _emit_arrow(self, send: MsgEvent, recv: MsgEvent) -> None:
-        arrow = Arrow(self._arrow_idx, send.rank, recv.rank, send.timestamp,
-                      recv.timestamp, send.tag, send.size)
-        if recv.timestamp < send.timestamp:
-            self.report.causality_violations.append(
-                f"arrow {send.rank}->{recv.rank} tag={send.tag} received at "
-                f"{recv.timestamp:.9f} before sent at {send.timestamp:.9f}")
-        self._arrows.append(arrow)
-        if self._sink is not None:
-            self._sink(arrow)
 
     # -- finishing ---------------------------------------------------------
 
@@ -391,23 +334,8 @@ def convert(clog: Clog2File,
     both the returned report and the document, so the viewers can stamp
     the salvage banner and crash markers on the timelines.
     """
-    conv = StreamConverter(num_ranks=clog.num_ranks,
-                           clock_resolution=clog.clock_resolution,
-                           rank_names=rank_names, recovery=recovery,
-                           crashed_ranks=crashed_ranks)
-    if perf is not None:
-        with perf.stage("convert"):
-            conv.feed_all(clog.definitions)
-            conv.feed_all(clog.records)
-            doc, report = conv.finish()
-        perf.count("convert", records=len(clog.records),
-                   drawables=len(doc.states) + len(doc.events)
-                   + len(doc.arrows))
-    else:
-        conv.feed_all(clog.definitions)
-        conv.feed_all(clog.records)
-        doc, report = conv.finish()
-    return doc, report
+    return _convert(clog, perf, rank_names=rank_names, recovery=recovery,
+                    crashed_ranks=crashed_ranks)
 
 
 def convert_with_tree(clog: Clog2File,
@@ -433,26 +361,30 @@ def convert_with_tree(clog: Clog2File,
     t0, t1 = _record_span(clog.records)
     tree = FrameTree.for_span(t0, t1, frame_size=frame_size,
                               max_depth=max_depth)
+    doc, report = _convert(clog, perf, rank_names=rank_names,
+                           recovery=recovery, crashed_ranks=crashed_ranks,
+                           sink=tree.insert)
+    with stage(perf, "frame-tree"):
+        tree.finalize(doc)
+    return doc, report, tree
+
+
+def _convert(clog: Clog2File, perf: "PerfRecorder | None", **options
+             ) -> tuple[Slog2Doc, ConversionReport]:
+    """Feed ``clog`` through one :class:`StreamConverter` built with
+    ``options`` — the body :func:`convert` and :func:`convert_with_tree`
+    share — timing it as the ``convert`` stage."""
     conv = StreamConverter(num_ranks=clog.num_ranks,
-                           clock_resolution=clog.clock_resolution,
-                           rank_names=rank_names, recovery=recovery,
-                           crashed_ranks=crashed_ranks, sink=tree.insert)
-    if perf is not None:
-        with perf.stage("convert"):
-            conv.feed_all(clog.definitions)
-            conv.feed_all(clog.records)
-            doc, report = conv.finish()
-        perf.count("convert", records=len(clog.records),
-                   drawables=len(doc.states) + len(doc.events)
-                   + len(doc.arrows))
-        with perf.stage("frame-tree"):
-            tree.finalize(doc)
-    else:
+                           clock_resolution=clog.clock_resolution, **options)
+    with stage(perf, "convert"):
         conv.feed_all(clog.definitions)
         conv.feed_all(clog.records)
         doc, report = conv.finish()
-        tree.finalize(doc)
-    return doc, report, tree
+    if perf is not None:
+        perf.count("convert", records=len(clog.records),
+                   drawables=len(doc.states) + len(doc.events)
+                   + len(doc.arrows))
+    return doc, report
 
 
 def _record_span(records: list[LogRecord]) -> tuple[float, float]:

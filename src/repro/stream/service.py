@@ -35,13 +35,13 @@ import json
 import queue
 import random
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
 from repro._util.retry import RetryPolicy
 from repro.jumpshot.markers import rank_markers
 from repro.mpe.salvage import find_partials, merge_partial_logs
+from repro.perf import stage
 from repro.slog2.convert import convert_with_tree
 from repro.stream.follow import DEFAULT_POLICY, LogFollower
 from repro.stream.tiles import (
@@ -87,8 +87,8 @@ class StreamService:
         if perf is not None:
             # Handler threads only touch pre-created stages; the
             # recorder itself is documented single-threaded.
-            for stage in ("stream-tail", "stream-fold", "stream-serve"):
-                perf.count(stage)
+            for name in ("stream-tail", "stream-fold", "stream-serve"):
+                perf.count(name)
         self.follower = LogFollower(base_path, policy=self.policy,
                                     cursors_file=cursors_file,
                                     journal_dir=journal_dir, perf=perf)
@@ -169,20 +169,13 @@ class StreamService:
             self._finalized.set()
 
     def _poll_once(self) -> bool:
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("stream-tail"):
-                update = self.follower.poll()
-        else:
+        with stage(self.perf, "stream-tail"):
             update = self.follower.poll()
         self.fold.absorb(update)
         if update.finished:
             for rank in self.follower.cursors.ranks:
                 self.fold.mark_rank_finished(rank)
-        if perf is not None:
-            with perf.stage("stream-fold"):
-                folded = self.fold.advance()
-        else:
+        with stage(self.perf, "stream-fold"):
             folded = self.fold.advance()
         if folded and not self.final:
             with self._lock:

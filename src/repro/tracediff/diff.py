@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.perf import stage
 from repro.tracediff.align import (
     STRUCTURAL_KINDS,
     DiffEpisode,
@@ -173,22 +174,17 @@ def diff_sides(side_a: TraceSide, side_b: TraceSide, *,
                            if ep.kind in STRUCTURAL_KINDS)
             aligned += max(0, min(len(recs_a), len(recs_b)) - diverged)
 
+    with stage(perf, "diff-align"):
+        _align()
     if perf is not None:
-        with perf.stage("diff-align"):
-            _align()
         perf.count("diff-align",
                    records=len(log_a.records) + len(log_b.records))
-    else:
-        _align()
 
     episodes.sort(key=lambda ep: (ep.time if ep.time is not None
                                   else float("inf"), ep.rank, ep.index_a))
     ranks = sorted(set(range(log_a.num_ranks)) | set(range(log_b.num_ranks)))
     crashed_only = _crashed_only(side_a, side_b)
-    if perf is not None:
-        with perf.stage("diff-score"):
-            scores = score_ranks(episodes, ranks, crashed_only=crashed_only)
-    else:
+    with stage(perf, "diff-score"):
         scores = score_ranks(episodes, ranks, crashed_only=crashed_only)
 
     notes = side_a.salvage_notes() + side_b.salvage_notes()
@@ -252,17 +248,11 @@ def diff_traces(a: "str | Clog2File | TraceSide",
                 time_tolerance=time_tolerance)
         # Identical bytes in a container the header reader doesn't
         # recognise: load tolerantly just for the counts.
-        if perf is not None:
-            with perf.stage("diff-load"):
-                side_a, side_b = _load()
-        else:
+        with stage(perf, "diff-load"):
             side_a, side_b = _load()
         return _identical_diff(side_a, side_b, time_tolerance)
 
-    if perf is not None:
-        with perf.stage("diff-load"):
-            side_a, side_b = _load()
-    else:
+    with stage(perf, "diff-load"):
         side_a, side_b = _load()
     return diff_sides(side_a, side_b, time_tolerance=time_tolerance,
                       perf=perf)

@@ -78,7 +78,7 @@ class TestRoundTrip:
                          checksum=True) as w:
             w.write_definitions(log.definitions)
             for rec in log.records:
-                w.write_record(rec)
+                w.write_retimed_records([(rec.timestamp, rec.rank, rec)])
         with open(eager, "rb") as fa, open(streamed, "rb") as fb:
             assert fa.read() == fb.read()
 
