@@ -1,6 +1,6 @@
 """Durable small-file I/O helpers.
 
-The journal, the stream service's resume cursors and every other
+The journal, the runner's exit sidecar and every other
 "small sidecar of JSON state" share one write discipline: serialise to
 a temp file, fsync, rename.  A reader therefore sees either the old
 complete contents or the new complete contents — never a torn mix —

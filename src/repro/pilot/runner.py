@@ -214,7 +214,6 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
                   file=sys.stderr)
         else:
             from repro.pilotlog.integration import JumpshotOptions
-            from repro.stream.cursors import cursors_path
             from repro.stream.follow import exit_path
             from repro.stream.service import StreamService
 
@@ -222,15 +221,12 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
                 mpe_options = JumpshotOptions(salvage=True)
             elif not mpe_options.salvage:
                 mpe_options = dataclasses.replace(mpe_options, salvage=True)
-            # A fresh run invalidates any previous run's sidecars at
-            # the same base path (a *service* restart keeps them; this
-            # is a new writer, not a new reader).
-            for stale in (exit_path(cfg.mpe_log_path),
-                          cursors_path(cfg.mpe_log_path)):
-                try:
-                    os.remove(stale)
-                except OSError:
-                    pass
+            # A previous run's exit sidecar at the same base path would
+            # tell the new service this run had already ended.
+            try:
+                os.remove(exit_path(cfg.mpe_log_path))
+            except OSError:
+                pass
             stream_service = StreamService(
                 cfg.mpe_log_path, port=cfg.stream_port,
                 journal_dir=cfg.journal_dir, expected_ranks=nprocs,

@@ -189,8 +189,6 @@ def run_service(run: PilotRun) -> None:
     detector = DeadlockDetector(run) if "d" in opts.services else None
     if detector is not None:
         install_stall_probe(run)
-    run.service_detector = detector  # type: ignore[attr-defined]
-    run.service_writer = writer  # type: ignore[attr-defined]
     expected = run.world_size - 1
     done = 0
     try:

@@ -26,7 +26,6 @@ from repro.pilotcheck.capture import (
     capture_program,
 )
 from repro.pilotcheck.findings import (
-    CODES,
     REGISTRY,
     Finding,
     codes_by_family,
@@ -50,7 +49,6 @@ from repro.pilotcheck.tracelint import (
 )
 
 __all__ = [
-    "CODES",
     "CaptureError",
     "CapturedProgram",
     "Finding",

@@ -103,12 +103,6 @@ REGISTRY: dict[str, CodeInfo] = _table({
               "sequence", "error"),
 })
 
-#: Legacy view ``code -> (meaning, severity)``; kept because the SARIF
-#: emitter and a fair amount of test code index it directly.
-CODES: dict[str, tuple[str, str]] = {
-    info.code: (info.meaning, info.severity) for info in REGISTRY.values()}
-
-
 def codes_by_family() -> dict[str, list[CodeInfo]]:
     """Registry grouped by family prefix, codes sorted, for listings."""
     out: dict[str, list[CodeInfo]] = {}

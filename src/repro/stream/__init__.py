@@ -13,7 +13,6 @@ Entry points: ``python -m repro.stream serve <logdir>``, the ``v``
 service letter (``-pisvc=v``), or :class:`StreamService` directly.
 """
 
-from repro.stream.cursors import RankCursor, StreamCursors, cursors_path
 from repro.stream.fold import LiveFold
 from repro.stream.follow import (
     DEFAULT_POLICY,
@@ -29,11 +28,8 @@ __all__ = [
     "FollowUpdate",
     "LiveFold",
     "LogFollower",
-    "RankCursor",
-    "StreamCursors",
     "StreamService",
     "TileCache",
-    "cursors_path",
     "exit_path",
     "render_tile",
     "serve_until_final",

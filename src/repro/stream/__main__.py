@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-interval", type=float,
                        default=DEFAULT_POLICY.max_delay,
                        help="poll interval ceiling (default %(default)s)")
-    serve.add_argument("--cursors",
-                       help="resume-cursor sidecar path (default: "
-                            "<base>.cursors.json)")
     serve.add_argument("--journal",
                        help="journal directory of the run, for abort "
                             "detection")
@@ -88,8 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                          max_delay=max(args.max_interval,
                                        args.poll_interval))
     service = StreamService(base, host=args.host, port=args.port,
-                            policy=policy, cursors_file=args.cursors,
-                            journal_dir=args.journal,
+                            policy=policy, journal_dir=args.journal,
                             expected_ranks=args.expected_ranks)
     service.start()
     print(f"streaming {base}")

@@ -92,8 +92,6 @@ class LiveFold:
         self.add_definitions(update.new_definitions)
         for rank in update.new_ranks:
             self.mark_rank_seen(rank)
-        for rank, records in update.replayed_records.items():
-            self.add_records(rank, records)
         for rank, records in update.new_records.items():
             self.add_records(rank, records)
 

@@ -18,10 +18,14 @@ tentpole names are distinguished here:
   abort), the journal's abort record, or — when neither exists — a
   stall past the policy deadline with bytes still held at a tail.
 
-Cursors (:mod:`repro.stream.cursors`) make the follower itself
-crash-recoverable: byte offsets resume tailing without re-reading
-consumed bytes, and emitted-record counts let a restarted service
-re-fold history without double-emitting anything downstream.
+A fourth outcome is rank-local: damage inside a *complete* chunk of
+one rank's append partial (waiting cannot heal it).  That rank is
+marked damaged and no longer tailed; every other rank keeps flowing,
+and the batch finalize salvages the damaged partial.
+
+The follow state lives in memory only.  A restarted follower re-reads
+every partial from byte 0 into a fresh fold, as a fresh follower
+does: nothing is lost, and the new fold holds nothing twice.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro._util.retry import RetryPolicy
+from repro.mpe.clog2 import Clog2FormatError
 from repro.mpe.salvage import (
     APPEND_MAGIC,
     PARTIAL_MAGIC,
@@ -39,10 +44,8 @@ from repro.mpe.salvage import (
     read_partial_log,
     tail_partial,
 )
-from repro.stream.cursors import RankCursor, StreamCursors, cursors_path
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpe.clocksync import SyncPoint
     from repro.mpe.records import Definition, LogRecord
     from repro.perf import PerfRecorder
 
@@ -69,15 +72,26 @@ def _rank_of(partial: str) -> int:
 
 
 @dataclass
+class RankCursor:
+    """Follow state for one rank's partial file."""
+
+    path: str
+    mode: str = "append"  # "append" | "rewrite"
+    offset: int = 0  # append: first unconsumed byte; rewrite: size read
+    records: int = 0  # records handed downstream from this rank
+    torn_bytes: int = 0  # bytes held at the tail on the last poll
+    frontier: float = 0.0  # max record timestamp seen from this rank
+    damage: str = ""  # why tailing stopped ("" while healthy)
+
+
+@dataclass
 class FollowUpdate:
     """What one :meth:`LogFollower.poll` observed."""
 
     new_records: dict[int, list["LogRecord"]] = field(default_factory=dict)
-    replayed_records: dict[int, list["LogRecord"]] = field(
-        default_factory=dict)
     new_definitions: list["Definition"] = field(default_factory=list)
-    new_syncs: dict[int, list["SyncPoint"]] = field(default_factory=dict)
     new_ranks: list[int] = field(default_factory=list)
+    damaged_ranks: dict[int, str] = field(default_factory=dict)
     grew: bool = False
     finished: bool = False
     degraded: bool = False
@@ -86,49 +100,28 @@ class FollowUpdate:
 
     @property
     def record_count(self) -> int:
-        return (sum(len(r) for r in self.new_records.values())
-                + sum(len(r) for r in self.replayed_records.values()))
+        return sum(len(r) for r in self.new_records.values())
 
 
 class LogFollower:
-    """Incremental, resumable reader over one run's log artifacts."""
+    """Incremental reader over one run's log artifacts."""
 
     def __init__(self, base_path: str, *,
                  policy: RetryPolicy | None = None,
-                 cursors_file: str | None = None,
                  journal_dir: str | None = None,
                  perf: "PerfRecorder | None" = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.base_path = base_path
         self.policy = policy or DEFAULT_POLICY
-        self.cursors_file = cursors_file or cursors_path(base_path)
         self.journal_dir = journal_dir
         self.perf = perf
         self._clock = clock
+        self.ranks: dict[int, RankCursor] = {}
         self.finished = False
         self.degraded = False
         self.reason = ""
         self.crashed_ranks: dict[int, float | None] = {}
-        self.resumed = False
         self._last_growth = clock()
-        self._replay_skip: dict[int, int] = {}
-        loaded = StreamCursors.load(self.cursors_file, base_path)
-        if loaded is not None and loaded.ranks:
-            # A previous service instance followed this run.  Its fold
-            # state died with it, so one backfill pass re-reads each
-            # partial from the start — but the persisted emitted-record
-            # counts split that backfill into "replayed" (history the
-            # restarted fold must absorb exactly once, silently) and
-            # genuinely new records, so nothing is double-emitted.
-            self.resumed = True
-            self.cursors = loaded
-            for rank, cur in loaded.ranks.items():
-                self._replay_skip[rank] = cur.records
-                cur.offset = 0
-                cur.records = 0
-                cur.syncs = 0
-        else:
-            self.cursors = StreamCursors(base_path=base_path)
 
     # -- polling -----------------------------------------------------------
 
@@ -143,11 +136,13 @@ class LogFollower:
             return update
         for path in self._discover():
             rank = _rank_of(path)
-            if rank not in self.cursors.ranks:
-                self.cursors.ranks[rank] = RankCursor(
+            cur = self.ranks.get(rank)
+            if cur is None:
+                cur = self.ranks[rank] = RankCursor(
                     path=os.path.basename(path), mode=self._sniff_mode(path))
                 update.new_ranks.append(rank)
-            self._poll_rank(rank, path, update)
+            if not cur.damage:
+                self._poll_rank(rank, path, cur, update)
         if update.record_count or update.new_ranks:
             self._last_growth = self._clock()
             update.grew = True
@@ -155,12 +150,6 @@ class LogFollower:
         if self.perf is not None:
             self.perf.count("stream-tail", records=update.record_count)
         return update
-
-    def save_cursors(self) -> None:
-        self.cursors.finalized = self.finished
-        self.cursors.degraded = self.degraded
-        self.cursors.reason = self.reason
-        self.cursors.save(self.cursors_file)
 
     # -- per-rank tailing --------------------------------------------------
 
@@ -182,13 +171,19 @@ class LogFollower:
             return "append"
         return "append"  # header not flushed yet: append is the default
 
-    def _poll_rank(self, rank: int, path: str, update: FollowUpdate) -> None:
-        cur = self.cursors.ranks[rank]
+    def _poll_rank(self, rank: int, path: str, cur: RankCursor,
+                   update: FollowUpdate) -> None:
         try:
             if cur.mode == "rewrite":
                 self._poll_rewrite(rank, path, cur, update)
             else:
                 self._poll_append(rank, path, cur, update)
+        except Clog2FormatError as exc:
+            # Damage inside a complete chunk: re-polling re-reads the
+            # same bytes, so stop tailing this rank and leave it to the
+            # batch finalize's salvage merge.
+            cur.damage = str(exc)
+            update.damaged_ranks[rank] = cur.damage
         except FileNotFoundError:
             # The rank's partial vanished mid-poll: a clean finalize
             # deletes partials after merging.  The exit sidecar check
@@ -206,11 +201,7 @@ class LogFollower:
         cur.torn_bytes = tail.torn_bytes
         if tail.definitions:
             update.new_definitions.extend(tail.definitions)
-        if tail.sync_points:
-            update.new_syncs.setdefault(rank, []).extend(tail.sync_points)
-            cur.syncs += len(tail.sync_points)
-        if tail.records:
-            self._split_records(rank, cur, tail.records, update)
+        self._deliver(rank, cur, tail.records, update)
 
     def _poll_rewrite(self, rank: int, path: str, cur: RankCursor,
                       update: FollowUpdate) -> None:
@@ -227,34 +218,16 @@ class LogFollower:
             # The fold dedupes definitions by key, so re-emitting the
             # whole (tiny) table on every rewrite re-read is harmless.
             update.new_definitions.extend(part.definitions)
-        new_syncs = part.sync_points[cur.syncs:]
-        if new_syncs:
-            update.new_syncs.setdefault(rank, []).extend(new_syncs)
-            cur.syncs += len(new_syncs)
-        pending = part.records[cur.records:]
-        if pending:
-            self._split_records(rank, cur, pending, update)
+        self._deliver(rank, cur, part.records[cur.records:], update)
 
-    def _split_records(self, rank: int, cur: RankCursor,
-                       records: list["LogRecord"],
-                       update: FollowUpdate) -> None:
-        skip = self._replay_skip.get(rank, 0)
-        if skip:
-            replayed = records[:skip]
-            fresh = records[skip:]
-            self._replay_skip[rank] = skip - len(replayed)
-            if self._replay_skip[rank] == 0:
-                self._replay_skip.pop(rank, None)
-            if replayed:
-                update.replayed_records.setdefault(rank, []).extend(replayed)
-                cur.records += len(replayed)
-        else:
-            fresh = records
-        if fresh:
-            update.new_records.setdefault(rank, []).extend(fresh)
-            cur.records += len(fresh)
-        if records:
-            cur.frontier = max(cur.frontier, records[-1].timestamp)
+    @staticmethod
+    def _deliver(rank: int, cur: RankCursor, records: list["LogRecord"],
+                 update: FollowUpdate) -> None:
+        if not records:
+            return
+        update.new_records.setdefault(rank, []).extend(records)
+        cur.records += len(records)
+        cur.frontier = max(cur.frontier, records[-1].timestamp)
 
     # -- writer-death detection --------------------------------------------
 
@@ -289,7 +262,7 @@ class LogFollower:
         elif self._stalled():
             self.finished = True
             self.degraded = True
-            held = sum(c.torn_bytes for c in self.cursors.ranks.values())
+            held = sum(c.torn_bytes for c in self.ranks.values())
             self.reason = (f"writer silent for more than "
                            f"{self.policy.deadline}s "
                            f"({held} byte(s) held at torn tails)")
@@ -318,6 +291,6 @@ class LogFollower:
     def _stalled(self) -> bool:
         if self.policy.deadline is None:
             return False
-        if not self.cursors.ranks:
+        if not self.ranks:
             return False  # nothing attached yet: keep waiting
         return (self._clock() - self._last_growth) > self.policy.deadline

@@ -6,21 +6,23 @@ the watermark fold (:mod:`repro.stream.fold`) and the tile renderer
 
 * ``GET /``        — the built-in viewer page;
 * ``GET /status``  — run state, watermark, categories, markers, banner;
-* ``GET /ranks``   — per-rank follow cursors and names;
+* ``GET /ranks``   — per-rank follow state and names;
 * ``GET /tiles/<level>/<frame>`` — one canonical frame tile (cached);
 * ``GET /events``  — Server-Sent Events: ``watermark`` / ``ranks`` /
   ``degraded`` / ``finalized``.
 
 The follower thread polls under the service's
 :class:`~repro._util.retry.RetryPolicy` (backing off while the writer
-is quiet, snapping back on growth), folds eligible records into a
-*provisional* frame tree, and persists resume cursors after every
-pass.  When the writer ends — cleanly or not — the service rebuilds
-the **canonical** tree through the exact batch pipeline (strict read of
-the merged log, or a salvage merge of the partials with the crash
-banner attached), atomically swaps it in, bumps the tile epoch and
-clears the cache: from that moment every tile served is byte-identical
-to one rendered straight off the batch pipeline.
+is quiet, snapping back on growth) and folds eligible records into a
+*provisional* frame tree.  A rank whose partial turns out damaged
+stops being tailed (and stops holding the watermark back) while the
+rest keep flowing.  When the writer ends — cleanly or not — the
+service rebuilds the **canonical** tree through the exact batch
+pipeline (strict read of the merged log, or a salvage merge of the
+partials with the crash banner attached), atomically swaps it in,
+bumps the tile epoch and clears the cache: from that moment every
+tile served is byte-identical to one rendered straight off the batch
+pipeline.
 
 Slow or dead clients cannot wedge the service: the HTTP server is
 threading with daemon threads, every client socket carries a send
@@ -71,7 +73,6 @@ class StreamService:
     def __init__(self, base_path: str, *,
                  host: str = "127.0.0.1", port: int = 0,
                  policy: RetryPolicy | None = None,
-                 cursors_file: str | None = None,
                  journal_dir: str | None = None,
                  expected_ranks: int | None = None,
                  frame_size: int | None = None,
@@ -90,7 +91,6 @@ class StreamService:
             for name in ("stream-tail", "stream-fold", "stream-serve"):
                 perf.count(name)
         self.follower = LogFollower(base_path, policy=self.policy,
-                                    cursors_file=cursors_file,
                                     journal_dir=journal_dir, perf=perf)
         from repro.stream.fold import LiveFold
 
@@ -172,9 +172,9 @@ class StreamService:
         with stage(self.perf, "stream-tail"):
             update = self.follower.poll()
         self.fold.absorb(update)
-        if update.finished:
-            for rank in self.follower.cursors.ranks:
-                self.fold.mark_rank_finished(rank)
+        for rank in (self.follower.ranks if update.finished
+                     else update.damaged_ranks):
+            self.fold.mark_rank_finished(rank)
         with stage(self.perf, "stream-fold"):
             folded = self.fold.advance()
         if folded and not self.final:
@@ -184,7 +184,6 @@ class StreamService:
                 # are stale now.  (Finalize invalidates by epoch bump
                 # instead, so final tiles stay cached forever.)
                 self.cache.clear()
-        self.follower.save_cursors()
         if update.new_ranks:
             self._broadcast("ranks", {"new_ranks": update.new_ranks})
         if folded:
@@ -192,14 +191,23 @@ class StreamService:
                 "watermark": self.fold.watermark,
                 "records_folded": self.fold.records_folded,
                 "epoch": self.epoch})
-        if update.degraded and not self.degraded:
-            self.degraded = True
-            self.reason = update.reason
-            self._broadcast("degraded", {
-                "reason": update.reason,
-                "crashed_ranks": {str(r): at for r, at
-                                  in update.crashed_ranks.items()}})
+        for rank, damage in sorted(update.damaged_ranks.items()):
+            self._degrade(f"rank {rank} partial damaged, no longer "
+                          f"tailed: {damage}")
+        if update.degraded:
+            self._degrade(update.reason)
         return update.grew
+
+    def _degrade(self, reason: str) -> None:
+        """Enter the degraded state once; the first reason sticks."""
+        if self.degraded:
+            return
+        self.degraded = True
+        self.reason = reason
+        self._broadcast("degraded", {
+            "reason": reason,
+            "crashed_ranks": {str(r): at for r, at
+                              in self.follower.crashed_ranks.items()}})
 
     # -- finalize: swap in the canonical batch tree ------------------------
 
@@ -336,7 +344,6 @@ class StreamService:
             "records_buffered": self.fold.buffered_records(),
             "num_ranks": num_ranks,
             "span": list(span),
-            "resumed": self.follower.resumed,
             "categories": [{"index": c.index, "name": c.name,
                             "color": c.color, "shape": c.shape}
                            for c in categories],
@@ -349,7 +356,7 @@ class StreamService:
     def ranks(self) -> dict:
         names = self.fold.rank_names()
         out = []
-        for rank, cur in sorted(self.follower.cursors.ranks.items()):
+        for rank, cur in sorted(self.follower.ranks.items()):
             out.append({
                 "rank": rank,
                 "name": names.get(rank, f"rank {rank}"),
@@ -359,6 +366,7 @@ class StreamService:
                 "torn_bytes": cur.torn_bytes,
                 "frontier": cur.frontier,
                 "crashed": rank in self.follower.crashed_ranks,
+                "damaged": bool(cur.damage),
             })
         return {"ranks": out}
 

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.mpe.clog2 import Clog2File, read_log
-from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.recovery import RecoveryReport
-from repro.mpe.salvage import find_partials, read_partial_log
+from repro.mpe.salvage import (
+    _merge_partial_objects,
+    find_partials,
+    read_partial_log,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf import PerfRecorder
@@ -76,15 +79,9 @@ def _merge_partials_in_memory(base_path: str, label: str) -> TraceSide:
             aggregate.absorb(report)
         if partial.rank >= 0:
             partials.append(partial)
-    definitions = dedup_definitions(p.definitions for p in partials)
-    num_ranks = max((p.rank + 1 for p in partials), default=0)
-    resolution = partials[0].clock_resolution if partials else 1e-6
-    streams = [rank_stream(p.rank, p.records, p.sync_points)
-               for p in partials]
-    records = list(merged_records(streams))
-    aggregate.records_kept = len(records)
+    log = _merge_partial_objects(partials)
+    aggregate.records_kept = len(log.records)
     aggregate.note(f"merged {len(partials)} salvage partial(s) in memory")
-    log = Clog2File(resolution, num_ranks, definitions, records)
     return TraceSide(label, log, aggregate, path=base_path,
                      notes=[f"{label}: no merged log; aligned "
                             f"{len(partials)} salvage partial(s)"])

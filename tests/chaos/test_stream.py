@@ -5,8 +5,9 @@ dies), the live service's tiles must be **byte-identical** to tiles
 rendered straight off the batch pipeline over the same on-disk
 artifacts — modulo the documented salvage banner, which is carried in
 ``/status``, never in the tile bytes.  The matrix covers rank crashes,
-a silently killed engine, a torn partial tail, and a service that is
-itself killed and restarted from its resume cursors.
+a silently killed engine, a torn partial tail, a partial damaged inside
+a complete chunk, and a service that is itself killed and restarted
+(the new one re-reads every partial from byte 0).
 
 Run with ``make chaos-stream`` or ``pytest tests/chaos/test_stream.py``.
 """
@@ -42,6 +43,10 @@ SHORT = RetryPolicy(deadline=0.25, initial=0.005, max_delay=0.02, jitter=0.0)
 def all_tiles(tile_fn) -> dict[tuple[int, int], bytes]:
     return {(level, frame): tile_fn(level, frame)
             for level in range(LEVELS) for frame in range(1 << level)}
+
+
+def records_delivered(service: StreamService) -> int:
+    return sum(c.records for c in service.follower.ranks.values())
 
 
 def assert_tiles_match_batch(service: StreamService, tree) -> None:
@@ -115,9 +120,21 @@ class TestCleanConvergence:
             # Not just a batch render at the end: the provisional fold
             # really processed the stream while it grew.
             assert service.fold.records_folded > 0
-            assert service.follower.cursors.total_records() > 0
+            assert records_delivered(service) > 0
         finally:
             service.stop()
+
+    def test_streamed_run_leaves_no_follow_state_on_disk(self, tmp_path):
+        _base, res = launch_streamed(tmp_path, rounds=6)
+        service = res.stream
+        try:
+            assert service.wait_finalized(30.0)
+        finally:
+            service.stop()
+        # The follower keeps its per-rank state in memory only.
+        leftovers = sorted(name for name in os.listdir(tmp_path)
+                           if name.endswith(".json"))
+        assert leftovers == ["stream.clog2.exit.json"]
 
 
 class TestRankCrashMatrix:
@@ -218,6 +235,46 @@ class TestTornTail:
             service.stop()
 
 
+class TestDamagedPartial:
+    def test_damaged_rank_degrades_alone_and_converges(self, tmp_path):
+        from repro._util.fsio import atomic_write_json
+        from repro.mpe.salvage import AppendPartialWriter
+        from repro.stream.follow import LogFollower, exit_path
+
+        from tests.stream.test_follow import append_bad_chunk, rank_log
+
+        base = str(tmp_path / "damaged.clog2")
+        for rank in range(2):
+            AppendPartialWriter(partial_path(base, rank), rank,
+                                1e-6).checkpoint(rank_log(rank, 5))
+        append_bad_chunk(partial_path(base, 1))
+
+        update = LogFollower(base, policy=SHORT).poll()  # must not raise
+        assert len(update.new_records[0]) == 5
+        assert list(update.damaged_ranks) == [1]
+
+        atomic_write_json(exit_path(base), {
+            "finished": True, "ok": True, "crashed_ranks": {}})
+        service = StreamService(base, policy=SHORT,
+                                expected_ranks=2).start()
+        try:
+            assert service.wait_finalized(30.0)
+            status = service.status()
+            assert status["state"] == "degraded"
+            assert status["reason"].startswith("rank 1 partial damaged")
+            ranks = service.ranks()["ranks"]
+            assert [r["damaged"] for r in ranks] == [False, True]
+            assert ranks[0]["records"] == 5
+
+            log, recovery = merge_partial_logs(
+                base, out_path=str(tmp_path / "ref.clog2"),
+                errors="salvage", expected_ranks=2)
+            _doc, _report, tree = convert_with_tree(log, recovery=recovery)
+            assert_tiles_match_batch(service, tree)
+        finally:
+            service.stop()
+
+
 class TestServiceRestart:
     def test_kill_and_restart_reattaches_with_zero_dup_or_loss(
             self, tmp_path):
@@ -255,12 +312,12 @@ class TestServiceRestart:
             jitter=0.0)).start()
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if first.follower.cursors.total_records() == 20:
+            if records_delivered(first) == 20:
                 break
             time.sleep(0.002)
         else:
             pytest.fail("first service never consumed the stream")
-        first.stop()  # killed mid-run; its cursors survive on disk
+        first.stop()  # killed mid-run; its follow state dies with it
 
         # The writer keeps going while no service is watching.
         for rank in range(2):
@@ -271,11 +328,10 @@ class TestServiceRestart:
         second = StreamService(base, policy=SHORT,
                                expected_ranks=2).start()
         try:
-            assert second.follower.resumed
             assert second.wait_finalized(30.0)
-            # Zero duplicates, zero losses: across the restart, every
-            # record was handed downstream exactly once.
-            assert second.follower.cursors.total_records() == 34
+            # Zero duplicates, zero losses: the restarted service
+            # re-read every partial from byte 0 into its fresh fold.
+            assert records_delivered(second) == 34
             ranks = second.ranks()["ranks"]
             assert [r["records"] for r in ranks] == [17, 17]
 

@@ -15,7 +15,7 @@ from repro.pilot import (
     PI_StopMain,
     PI_Write,
 )
-from repro.pilotcheck import CODES, Finding, analyze_program, to_sarif
+from repro.pilotcheck import REGISTRY, Finding, analyze_program, to_sarif
 from repro.pilotcheck.__main__ import main as cli_main
 from repro.pilotcheck.sarif import SARIF_SCHEMA, sarif_json
 
@@ -40,11 +40,11 @@ class TestSarifStructure:
         assert log["$schema"] == SARIF_SCHEMA
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "pilotcheck"
-        assert [r["id"] for r in driver["rules"]] == sorted(CODES)
+        assert [r["id"] for r in driver["rules"]] == sorted(REGISTRY)
         for rule in driver["rules"]:
-            meaning, severity = CODES[rule["id"]]
-            assert rule["shortDescription"]["text"] == meaning
-            assert rule["defaultConfiguration"]["level"] == severity
+            info = REGISTRY[rule["id"]]
+            assert rule["shortDescription"]["text"] == info.meaning
+            assert rule["defaultConfiguration"]["level"] == info.severity
         assert log["runs"][0]["results"] == []
 
     def test_result_carries_rule_index_and_level(self):

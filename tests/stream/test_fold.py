@@ -137,8 +137,8 @@ def test_absorb_buffers_a_whole_follow_update():
 
     fold = LiveFold()
     update = FollowUpdate(
-        new_records={0: [BareEvent(2e-4, 0, 9, "new")]},
-        replayed_records={0: [BareEvent(1e-4, 0, 9, "old")]},
+        new_records={0: [BareEvent(1e-4, 0, 9, "old"),
+                         BareEvent(2e-4, 0, 9, "new")]},
         new_definitions=[TICK],
         new_ranks=[0, 1],
     )

@@ -1,13 +1,15 @@
-"""LogFollower edge cases: torn tails, late ranks, restart replay.
+"""LogFollower edge cases: torn tails, late ranks, restarts, damage.
 
-These are the PR 9 satellite scenarios: a tail cut exactly on (and
-inside) a chunk boundary, a rank's ``.part`` appearing late, and a
-service restart that replays from cursors with zero duplicate records.
+A tail cut exactly on (and inside) a chunk boundary, a rank's ``.part``
+appearing late, a restarted follower re-reading every partial with zero
+duplicate records, and one rank's partial damaged inside a complete
+chunk while the other ranks keep flowing.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 from types import SimpleNamespace
 
 from repro._util.fsio import atomic_write_json
@@ -15,7 +17,6 @@ from repro._util.retry import RetryPolicy
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.records import BareEvent, EventDef, RankName
 from repro.mpe.salvage import AppendPartialWriter, partial_path, write_partial
-from repro.stream.cursors import cursors_path
 from repro.stream.follow import LogFollower, exit_path
 
 POLICY = RetryPolicy(deadline=0.5, initial=0.001, max_delay=0.01, jitter=0.0)
@@ -59,7 +60,6 @@ def test_append_partial_tailed_incrementally(tmp_path):
     assert update.grew
     assert len(update.new_records.get(0, [])) == 5
     assert update.new_definitions  # the defs ride the first chunk
-    assert update.new_syncs[0] == log.sync_points
 
     # No growth: the next poll is empty but not finished.
     update = follower.poll()
@@ -88,7 +88,7 @@ def test_tail_cut_inside_and_on_chunk_boundary(tmp_path):
     with open(path, "wb") as fh:
         fh.write(full[: len(full) - 7])
     update = follower.poll()
-    cur = follower.cursors.ranks[0]
+    cur = follower.ranks[0]
     assert update.new_records.get(0, []) == []  # held, never emitted
     assert cur.torn_bytes > 0
     held_offset = cur.offset
@@ -101,8 +101,8 @@ def test_tail_cut_inside_and_on_chunk_boundary(tmp_path):
         fh.write(full[len(full) - 7:])
     update = follower.poll()
     assert len(update.new_records[0]) == 8
-    assert follower.cursors.ranks[0].torn_bytes == 0
-    assert follower.cursors.ranks[0].offset == len(full) > held_offset
+    assert follower.ranks[0].torn_bytes == 0
+    assert follower.ranks[0].offset == len(full) > held_offset
 
     # A cut exactly *on* a chunk boundary is indistinguishable from a
     # fully flushed file: zero torn bytes, everything before it emitted.
@@ -119,7 +119,7 @@ def test_tail_cut_inside_and_on_chunk_boundary(tmp_path):
         fh.write(full2[:boundary])
     update = follower.poll()
     assert len(update.new_records[1]) == 3
-    assert follower.cursors.ranks[1].torn_bytes == 0
+    assert follower.ranks[1].torn_bytes == 0
 
 
 def test_rank_part_appearing_late(tmp_path):
@@ -136,10 +136,10 @@ def test_rank_part_appearing_late(tmp_path):
     assert update.new_ranks == [2]
     assert len(update.new_records[2]) == 6
     assert update.new_records.get(0, []) == []  # rank 0 did not re-emit
-    assert follower.cursors.ranks[2].frontier > 0.5
+    assert follower.ranks[2].frontier > 0.5
 
 
-def test_restart_replays_from_cursors_with_zero_duplicates(tmp_path):
+def test_restart_rereads_from_byte_zero_with_zero_duplicates(tmp_path):
     first, base = make_follower(tmp_path)
     path = partial_path(base, 0)
     log = rank_log(0, 10)
@@ -147,48 +147,58 @@ def test_restart_replays_from_cursors_with_zero_duplicates(tmp_path):
     writer.checkpoint(log)
     update = first.poll()
     assert len(update.new_records[0]) == 10
-    first.save_cursors()
 
     # The service dies; more records land while nobody is watching.
     log.records.extend(BareEvent(2.0 + i * 1e-3, 0, 9, f"late{i}")
                        for i in range(4))
     writer.checkpoint(log)
 
+    # A restarted follower starts from byte 0, like a fresh one: every
+    # record once, in order, for the restarted fold to absorb.
     second = LogFollower(base, policy=POLICY)
-    assert second.resumed
     update = second.poll()
-    # History comes back *replayed* (for the restarted fold to absorb
-    # silently), the post-crash records as genuinely new — and nothing
-    # is in both buckets.
-    assert len(update.replayed_records[0]) == 10
-    assert [r.text for r in update.new_records[0]] == [
-        f"late{i}" for i in range(4)]
-    assert update.record_count == 14
-    assert second.cursors.ranks[0].records == 14
+    assert [r.text for r in update.new_records[0]] == (
+        [f"r0.{i}" for i in range(10)] + [f"late{i}" for i in range(4)])
+    assert second.ranks[0].records == 14
+    assert second.ranks[0].offset == os.path.getsize(path)
 
-    # A third poll emits nothing: the replay budget is spent.
+    # A third poll emits nothing: every byte has been consumed.
     update = second.poll()
     assert update.record_count == 0
 
 
-def test_stale_cursors_for_another_run_are_ignored(tmp_path):
+def append_bad_chunk(path: str) -> None:
+    """A complete 7-byte chunk of unknown kind 'Z' (5-byte frame plus a
+    2-byte payload): damage that waiting cannot heal."""
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<BI", ord("Z"), 2) + b"ZZ")
+
+
+def test_damaged_rank_stops_alone_and_the_others_keep_flowing(tmp_path):
     follower, base = make_follower(tmp_path)
-    AppendPartialWriter(partial_path(base, 0), 0, 1e-6).checkpoint(
-        rank_log(0, 3))
-    follower.poll()
-    follower.save_cursors()
+    log0 = rank_log(0, 5)
+    writer0 = AppendPartialWriter(partial_path(base, 0), 0, 1e-6)
+    writer0.checkpoint(log0)
+    AppendPartialWriter(partial_path(base, 1), 1, 1e-6).checkpoint(
+        rank_log(1, 5))
+    append_bad_chunk(partial_path(base, 1))
 
-    other = LogFollower(str(tmp_path / "other.clog2"), policy=POLICY,
-                        cursors_file=cursors_path(base))
-    assert not other.resumed  # base names differ: cursors refused
+    update = follower.poll()  # must not raise
+    assert [r.text for r in update.new_records[0]] == [
+        f"r0.{i}" for i in range(5)]
+    assert update.new_ranks == [0, 1]
+    assert list(update.damaged_ranks) == [1]
+    assert "unknown chunk kind 0x5a" in update.damaged_ranks[1]
+    assert follower.ranks[1].damage == update.damaged_ranks[1]
+    assert not follower.ranks[0].damage
 
-
-def test_corrupt_cursors_sidecar_means_fresh_attach(tmp_path):
-    base = str(tmp_path / "run.clog2")
-    with open(cursors_path(base), "w") as fh:
-        fh.write("{this is not json")
-    follower = LogFollower(base, policy=POLICY)
-    assert not follower.resumed
+    # Rank 1 is no longer tailed (and reported once); rank 0 still is.
+    log0.records.append(BareEvent(1.0, 0, 9, "later"))
+    writer0.checkpoint(log0)
+    update = follower.poll()
+    assert [r.text for r in update.new_records[0]] == ["later"]
+    assert update.damaged_ranks == {}
+    assert not update.finished
 
 
 def test_rewrite_mode_partial_resumes_by_record_count(tmp_path):
@@ -197,7 +207,7 @@ def test_rewrite_mode_partial_resumes_by_record_count(tmp_path):
     log = rank_log(0, 4)
     write_partial(path, 0, log, 1e-6)
     update = follower.poll()
-    assert follower.cursors.ranks[0].mode == "rewrite"
+    assert follower.ranks[0].mode == "rewrite"
     assert len(update.new_records[0]) == 4
 
     # Rewrite checkpoints replace the file wholesale; the record list

@@ -69,7 +69,7 @@ def service(tmp_path):
     # clean finalize merges them away.
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
-        if sum(c.records for c in svc.follower.cursors.ranks.values()) == 14:
+        if sum(c.records for c in svc.follower.ranks.values()) == 14:
             break
         time.sleep(0.002)
     else:
@@ -120,6 +120,7 @@ def test_ranks_carry_names_and_cursors(service):
         assert r["records"] == 7
         assert r["torn_bytes"] == 0
         assert not r["crashed"]
+        assert not r["damaged"]
 
 
 def test_tiles_match_the_direct_render_and_carry_epoch_headers(service):
@@ -161,6 +162,36 @@ def test_crashed_run_is_degraded_with_banner_and_marker(tmp_path):
                    for m in status["markers"])
         ranks = get_json(svc, "/ranks")["ranks"]
         assert [r["crashed"] for r in ranks] == [False, True, False]
+    finally:
+        svc.stop()
+
+
+def test_damaged_partial_degrades_live_and_stops_pinning_the_watermark(
+        tmp_path):
+    import time
+
+    from tests.stream.test_follow import append_bad_chunk
+
+    base = str(tmp_path / "run.clog2")
+    write_run(base)
+    append_bad_chunk(partial_path(base, 1))
+    svc = StreamService(base, policy=FAST, expected_ranks=2).start()
+    try:
+        # Rank 1 no longer holds the watermark at 0: rank 0's six
+        # BareEvents fold live (its final MsgEvent sits at the
+        # watermark and is held).
+        deadline = time.monotonic() + 30.0
+        while svc.fold.records_folded < 6:
+            assert time.monotonic() < deadline, "rank 0 never folded"
+            time.sleep(0.002)
+        status = get_json(svc, "/status")
+        assert status["state"] == "live" and status["degraded"]
+        assert status["reason"].startswith("rank 1 partial damaged")
+        ranks = get_json(svc, "/ranks")["ranks"]
+        assert [r["damaged"] for r in ranks] == [False, True]
+        finish_run(base)
+        assert svc.wait_finalized(30.0)
+        assert get_json(svc, "/status")["state"] == "degraded"
     finally:
         svc.stop()
 
